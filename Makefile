@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-scan bench-agg bench-recovery bench-rebalance chaos soak smoke
+.PHONY: all build test race vet check bench bench-smoke bench-scan bench-agg bench-recovery bench-rebalance chaos soak smoke
 
 all: check
 
@@ -38,6 +38,13 @@ soak:
 
 bench:
 	$(GO) test -bench . -benchtime 2000x -run xxx .
+
+# benchmark/ is a module of its own, so `go build ./... && go test ./...`
+# never compiles it: vet it and run its smoke test (every workload, a few
+# seconds) so a changed internal/* signature cannot silently break the
+# yardstick.
+bench-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Batched-pipeline throughput: distributed scan + Phase 2 catch-up, batched
 # framing vs its tuple-at-a-time ablation. Regenerates BENCH_scan.json.

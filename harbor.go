@@ -356,12 +356,23 @@ func (c *Cluster) BulkLoad(table int32, rows []Tuple) (Timestamp, error) {
 		if _, err := tb.Heap.BulkLoadSegment(stamped); err != nil {
 			return 0, err
 		}
-		if err := w.Mgr.RebuildIndexes(); err != nil {
+		if err := rebuildIndexes(w); err != nil {
 			return 0, err
 		}
 		w.SeedAppliedTS(ts)
 	}
 	return ts, nil
+}
+
+// rebuildIndexes re-derives a worker's key indexes, and the page key bounds
+// scans prune by, from its heap files. The rebuild reads the files, not the
+// buffer pool, so dirty pages are written out first: rows that so far live
+// only in the pool must not drop out of the index.
+func rebuildIndexes(w *worker.Site) error {
+	if err := w.Pool.FlushAll(); err != nil {
+		return err
+	}
+	return w.Mgr.RebuildIndexes()
 }
 
 // DropOldestSegment atomically drops the oldest segment of the table on
@@ -379,7 +390,7 @@ func (c *Cluster) DropOldestSegment(table int32) error {
 		if err := tb.Heap.DropOldestSegment(); err != nil {
 			return err
 		}
-		if err := w.Mgr.RebuildIndexes(); err != nil {
+		if err := rebuildIndexes(w); err != nil {
 			return err
 		}
 	}

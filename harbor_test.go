@@ -372,3 +372,63 @@ func TestPublicAPIVacuumRetention(t *testing.T) {
 		t.Fatalf("rows within retention window = %d, want 6", len(rows))
 	}
 }
+
+// TestPublicAPIBulkLoadKeepsUnflushedRowsReachable: BulkLoad and
+// DropOldestSegment rebuild the key index from the heap file, so rows that
+// so far live only in the buffer pool must reach the file first — or the
+// rebuilt index (and the page key bounds scans prune by) would not know
+// them, and a key lookup or key-range query would miss committed rows.
+func TestPublicAPIBulkLoadKeepsUnflushedRowsReachable(t *testing.T) {
+	c := startCluster(t, harbor.Options{Workers: 2, SegPages: 8, CheckpointEvery: time.Hour})
+	if err := c.CreateTable(1, productSchema); err != nil {
+		t.Fatal(err)
+	}
+	insert := func(id int64) {
+		t.Helper()
+		tx := c.Begin()
+		if err := tx.Insert(1, harbor.Row(productSchema, harbor.Int(id), harbor.Str("txn"), harbor.Int(1))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	find := func(label string, id int64) {
+		t.Helper()
+		rows, err := c.Query(1, harbor.Query{Where: harbor.Where(productSchema, "id", harbor.EQ, harbor.Int(id))})
+		if err != nil || len(rows) != 1 {
+			t.Fatalf("%s: query id=%d returned %d rows, %v", label, id, len(rows), err)
+		}
+		tx := c.Begin()
+		if err := tx.UpdateKey(1, id, harbor.Row(productSchema, harbor.Int(id), harbor.Str(label), harbor.Int(2))); err != nil {
+			t.Fatalf("%s: update id=%d: %v", label, id, err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert(10)
+	for i := 0; i < c.NumWorkers(); i++ {
+		if err := c.Worker(i).CheckpointNow(); err != nil { // page 0 reaches the file holding key 10 only
+			t.Fatal(err)
+		}
+	}
+	insert(5000) // same page, now dirty in the pool
+	bulk := make([]harbor.Tuple, 50)
+	for i := range bulk {
+		bulk[i] = harbor.Row(productSchema, harbor.Int(1000+int64(i)), harbor.Str("bulk"), harbor.Int(1))
+	}
+	if _, err := c.BulkLoad(1, bulk); err != nil {
+		t.Fatal(err)
+	}
+	find("after bulk load", 5000)
+	insert(6000)
+	if _, err := c.BulkLoad(1, bulk[:1]); err != nil { // a second segment, so one can go
+		t.Fatal(err)
+	}
+	insert(7000)
+	if err := c.DropOldestSegment(1); err != nil {
+		t.Fatal(err)
+	}
+	find("after drop", 7000)
+}

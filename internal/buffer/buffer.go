@@ -161,19 +161,28 @@ func (bp *Pool) Policy() Policy { return bp.policy }
 // thesis's getPage). The frame is pinned; callers must Unpin it. The caller
 // is responsible for taking the frame latch around actual page access.
 func (bp *Pool) GetPage(tid lockmgr.TxnID, pid page.ID, perm Perm) (*Frame, error) {
-	if bp.locks != nil {
-		mode := lockmgr.S
-		if perm == WritePerm {
-			mode = lockmgr.X
-		}
-		target := lockmgr.PageTarget(pid.Table, pid.PageNo)
-		if !bp.locks.Has(tid, target, mode) {
-			if err := bp.locks.Acquire(tid, target, mode); err != nil {
-				return nil, err
-			}
-		}
+	if err := bp.LockPage(tid, pid, perm); err != nil {
+		return nil, err
 	}
 	return bp.GetPageNoLock(pid)
+}
+
+// LockPage is the lock half of GetPage: it takes the page lock that perm
+// calls for without fetching the page. A locked scan holds it on a page it
+// decides not to read, so that what it knew about the page stays true.
+func (bp *Pool) LockPage(tid lockmgr.TxnID, pid page.ID, perm Perm) error {
+	if bp.locks == nil {
+		return nil
+	}
+	mode := lockmgr.S
+	if perm == WritePerm {
+		mode = lockmgr.X
+	}
+	target := lockmgr.PageTarget(pid.Table, pid.PageNo)
+	if bp.locks.Has(tid, target, mode) {
+		return nil
+	}
+	return bp.locks.Acquire(tid, target, mode)
 }
 
 // GetPageNoLock fetches and pins a frame without consulting the lock

@@ -64,6 +64,11 @@ func TestAggregateEquivalence(t *testing.T) {
 	desc := testDesc()
 	pred := expr.True.And(expr.Term{Field: desc.FieldIndex("v"), Op: expr.GE, Value: tuple.VInt(200)})
 	nothing := expr.True.And(expr.Term{Field: desc.FieldIndex("v"), Op: expr.GT, Value: tuple.VInt(1 << 40)})
+	// Key-range predicates prune the plan to the owning partitions and the
+	// scan to the owning pages; the answer must not notice.
+	onePartition := expr.KeyRange{Lo: 300, Hi: 420}.Pred(desc)
+	acrossSeams := expr.KeyRange{Lo: 240, Hi: 760}.Pred(desc).And(pred.Terms...)
+	oneKey := expr.True.And(expr.Term{Field: desc.Key, Op: expr.EQ, Value: tuple.VInt(501)})
 	cases := []struct {
 		label string
 		table int32
@@ -76,6 +81,11 @@ func TestAggregateEquivalence(t *testing.T) {
 		{"partitioned/historical", 2, coord.QueryOptions{Historical: true, AsOf: asOf2}},
 		{"partitioned/predicate", 2, coord.QueryOptions{Pred: pred}},
 		{"partitioned/empty", 2, coord.QueryOptions{Pred: nothing}},
+		{"replicated/key-range", 1, coord.QueryOptions{Pred: onePartition}},
+		{"partitioned/key-range", 2, coord.QueryOptions{Pred: onePartition}},
+		{"partitioned/key-range-across-seams", 2, coord.QueryOptions{Pred: acrossSeams}},
+		{"partitioned/key-range-historical", 2, coord.QueryOptions{Historical: true, AsOf: asOf2, Pred: acrossSeams}},
+		{"partitioned/one-key", 2, coord.QueryOptions{Pred: oneKey}},
 	}
 	for _, tc := range cases {
 		rows, err := cl.Coord.Scan(tc.table, tc.opt)

@@ -160,6 +160,7 @@ type Coordinator struct {
 	// Distributed-scan stream instrumentation.
 	scanRows    *obs.Counter // coord.scan.rows — rows received from workers
 	scanBatches *obs.Counter // coord.scan.batches — batch frames received
+	slotsPruned *obs.Counter // coord.scan.slots_pruned — full-range slots a key predicate left unplanned
 
 	// Pushed-down aggregation instrumentation.
 	aggRowsShipped *obs.Counter // coord.agg.rows_shipped — partial states received
@@ -204,6 +205,7 @@ func New(cfg Config) (*Coordinator, error) {
 	co.commitNS = co.reg.Histogram("coord.commit.latency.ns")
 	co.scanRows = co.reg.Counter("coord.scan.rows")
 	co.scanBatches = co.reg.Counter("coord.scan.batches")
+	co.slotsPruned = co.reg.Counter("coord.scan.slots_pruned")
 	co.aggRowsShipped = co.reg.Counter("coord.agg.rows_shipped")
 	co.aggFrames = co.reg.Counter("coord.agg.frames")
 	co.aggQueries = co.reg.Counter("coord.agg.queries")

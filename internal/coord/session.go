@@ -559,11 +559,22 @@ func (co *Coordinator) planRead(table int32, opt QueryOptions) ([]scanSlot, *sca
 	live := func(s catalog.SiteID) bool {
 		return co.objectReadableFor(table, s, opt.Historical, asOf)
 	}
+	// The plan covers only the key range the predicate can match, so sites
+	// whose replica ranges miss it are never contacted and every slot
+	// declares (KeyLo/KeyHi) just the part of it that site serves. A
+	// contradictory predicate has an empty target: CoverTarget plans no
+	// slot and the read returns empty without an RPC.
+	target := opt.Pred.KeyRange(spec.Desc)
 	cands := co.readCandidates(table, opt.Historical, asOf)
-	srcs, err := catalog.CoverTarget(expr.FullKeyRange(), cands)
+	srcs, err := catalog.CoverTarget(target, cands)
 	if err != nil {
 		co.deregisterScan(regID)
 		return nil, nil, fmt.Errorf("coord: table %d: %w", table, err)
+	}
+	if target != expr.FullKeyRange() {
+		if all, err := catalog.CoverTarget(expr.FullKeyRange(), cands); err == nil && len(all) > len(srcs) {
+			co.slotsPruned.Add(int64(len(all) - len(srcs)))
+		}
 	}
 	if opt.PreferSite != 0 {
 		var only []catalog.RangeCandidate
@@ -572,7 +583,7 @@ func (co *Coordinator) planRead(table int32, opt QueryOptions) ([]scanSlot, *sca
 				only = append(only, c)
 			}
 		}
-		if single, err := catalog.CoverTarget(expr.FullKeyRange(), only); err == nil {
+		if single, err := catalog.CoverTarget(target, only); err == nil {
 			srcs = single
 		}
 	}

@@ -1,10 +1,6 @@
 package exec
 
-import (
-	"fmt"
-
-	"harbor/internal/tuple"
-)
+import "harbor/internal/tuple"
 
 // DefaultBatchRows is the target fill of one pipeline batch. It matches the
 // wire layer's frame flush target so a full batch becomes one frame.
@@ -51,45 +47,23 @@ func (a *batchAdapter) NextBatch(b *tuple.Batch) error {
 // every qualifying row of the page instead of one row per Next() call.
 func (s *SeqScan) NextBatch(b *tuple.Batch) error {
 	b.Reset()
-	if !s.open {
-		return fmt.Errorf("exec: scan not open")
-	}
 	for b.Len() < DefaultBatchRows {
 		if s.frame == nil {
-			for s.pageI >= len(s.pages) {
-				s.segI++
-				if s.segI >= len(s.segs) {
-					return nil
-				}
-				s.pages = s.heap.SegmentPages(s.segs[s.segI])
-				s.pageI = 0
-			}
-			if err := s.pinPage(); err != nil {
+			if ok, err := s.advancePage(); !ok {
 				return err
 			}
 		}
-		pg := s.frame.Page
-		for ; s.slot < pg.NumSlots() && b.Len() < DefaultBatchRows; s.slot++ {
-			if !pg.Used(s.slot) {
-				continue
-			}
-			raw, err := pg.Slot(s.slot)
+		for ; s.slot < s.frame.Page.NumSlots() && b.Len() < DefaultBatchRows; s.slot++ {
+			t, ok, err := s.slotTuple(s.slot)
 			if err != nil {
 				return err
 			}
-			t, err := tuple.Decode(s.desc, raw)
-			if err != nil {
-				return err
+			if ok {
+				b.Append(t)
 			}
-			vis, out := s.present(t)
-			if !vis || !s.spec.Pred.Eval(s.desc, out) {
-				continue
-			}
-			b.Append(out)
 		}
-		if s.slot >= pg.NumSlots() {
+		if s.slot >= s.frame.Page.NumSlots() {
 			s.releaseFrame()
-			s.pageI++
 		}
 	}
 	return nil

@@ -102,7 +102,12 @@ type SeqScan struct {
 	spec  ScanSpec
 
 	heap  *storage.HeapFile
+	index *storage.KeyIndex
 	desc  *tuple.Desc
+	// keys is the key range spec.Pred implies; a page whose recorded key
+	// bounds miss it is skipped. prune is false when it is the full range.
+	keys  expr.KeyRange
+	prune bool
 	segs  []int32
 	segI  int
 	pages []int32
@@ -127,8 +132,10 @@ func (s *SeqScan) Open() error {
 	if err != nil {
 		return err
 	}
-	s.heap = tb.Heap
+	s.heap, s.index = tb.Heap, tb.Index
 	s.desc = tb.Heap.Desc()
+	s.keys = s.spec.Pred.KeyRange(s.desc)
+	s.prune = s.keys != expr.FullKeyRange()
 	s.segs = s.spec.Segments.Resolve(s.heap)
 	s.segI, s.pageI, s.slot = 0, 0, 0
 	s.pages = nil
@@ -153,79 +160,96 @@ func (s *SeqScan) Close() error {
 	return nil
 }
 
-// pinPage pins and read-latches the page at the current (segI, pageI)
-// cursor position and resets the slot cursor.
-func (s *SeqScan) pinPage() error {
-	pid := page.ID{Table: s.spec.Table, PageNo: s.pages[s.pageI]}
-	var f *buffer.Frame
-	var err error
-	if s.spec.Locked {
-		f, err = s.store.Pool.GetPage(s.spec.Txn, pid, buffer.ReadPerm)
-	} else {
-		f, err = s.store.Pool.GetPageNoLock(pid)
+// advancePage moves the (segI, pageI) cursor to the next page that may hold
+// a qualifying tuple, pins and read-latches it and resets the slot cursor;
+// it reports false at the end of the scan. This is the one place a key
+// predicate prunes: a page whose recorded key bounds are disjoint from the
+// predicate's key range is passed over unread, while a page without bounds
+// is always read (storage.KeyIndex.PageBounds). A locked scan takes its
+// page lock first, pruned or not, so no writer can add a qualifying tuple
+// to a page the scan has passed over before the scan's transaction ends.
+func (s *SeqScan) advancePage() (bool, error) {
+	if !s.open {
+		return false, fmt.Errorf("exec: scan not open")
 	}
-	if err != nil {
-		return err
+	for ; ; s.pageI++ {
+		for s.pageI >= len(s.pages) {
+			s.segI++
+			if s.segI >= len(s.segs) {
+				return false, nil
+			}
+			s.pages = s.heap.SegmentPages(s.segs[s.segI])
+			s.pageI = 0
+		}
+		pid := page.ID{Table: s.spec.Table, PageNo: s.pages[s.pageI]}
+		if s.spec.Locked {
+			if err := s.store.Pool.LockPage(s.spec.Txn, pid, buffer.ReadPerm); err != nil {
+				return false, err
+			}
+		}
+		if s.prune {
+			if lo, hi, ok := s.index.PageBounds(pid); ok && !s.keys.Overlaps(lo, hi) {
+				s.store.ScanPagesPruned.Inc()
+				continue
+			}
+		}
+		f, err := s.store.Pool.GetPageNoLock(pid)
+		if err != nil {
+			return false, err
+		}
+		s.store.ScanPagesVisited.Inc()
+		f.Latch.RLock()
+		s.frame = f
+		s.slot = 0
+		return true, nil
 	}
-	f.Latch.RLock()
-	s.frame = f
-	s.slot = 0
-	return nil
 }
 
+// releaseFrame unpins the current page, if any, and steps the cursor past it.
 func (s *SeqScan) releaseFrame() {
 	if s.frame != nil {
 		s.frame.Latch.RUnlock()
 		s.store.Pool.Unpin(s.frame, false, 0)
 		s.frame = nil
+		s.pageI++
 	}
+}
+
+// slotTuple decodes the current page's slot i and applies visibility and
+// the predicate; ok is false for a free slot or a tuple the scan hides.
+func (s *SeqScan) slotTuple(i int) (tuple.Tuple, bool, error) {
+	pg := s.frame.Page
+	if !pg.Used(i) {
+		return tuple.Tuple{}, false, nil
+	}
+	raw, err := pg.Slot(i)
+	if err != nil {
+		return tuple.Tuple{}, false, err
+	}
+	t, err := tuple.Decode(s.desc, raw)
+	if err != nil {
+		return tuple.Tuple{}, false, err
+	}
+	vis, out := s.present(t)
+	return out, vis && s.spec.Pred.Eval(s.desc, out), nil
 }
 
 // Next returns the next visible tuple.
 func (s *SeqScan) Next() (tuple.Tuple, bool, error) {
-	if !s.open {
-		return tuple.Tuple{}, false, fmt.Errorf("exec: scan not open")
-	}
 	for {
 		if s.frame == nil {
-			// Advance to the next page.
-			for s.pageI >= len(s.pages) {
-				s.segI++
-				if s.segI >= len(s.segs) {
-					return tuple.Tuple{}, false, nil
-				}
-				s.pages = s.heap.SegmentPages(s.segs[s.segI])
-				s.pageI = 0
-			}
-			if err := s.pinPage(); err != nil {
+			if ok, err := s.advancePage(); !ok {
 				return tuple.Tuple{}, false, err
 			}
 		}
-		pg := s.frame.Page
-		for ; s.slot < pg.NumSlots(); s.slot++ {
-			if !pg.Used(s.slot) {
-				continue
-			}
-			raw, err := pg.Slot(s.slot)
-			if err != nil {
-				return tuple.Tuple{}, false, err
-			}
-			t, err := tuple.Decode(s.desc, raw)
-			if err != nil {
-				return tuple.Tuple{}, false, err
-			}
-			vis, out := s.present(t)
-			if !vis {
-				continue
-			}
-			if !s.spec.Pred.Eval(s.desc, out) {
-				continue
-			}
+		for s.slot < s.frame.Page.NumSlots() {
+			t, ok, err := s.slotTuple(s.slot)
 			s.slot++
-			return out, true, nil
+			if err != nil || ok {
+				return t, ok, err
+			}
 		}
 		s.releaseFrame()
-		s.pageI++
 	}
 }
 
@@ -271,66 +295,33 @@ type RIDScan struct {
 	Spec  ScanSpec
 }
 
-// ForEach runs the scan, invoking fn per visible tuple. Returning false
-// stops early.
+// ForEach runs the scan, invoking fn per visible tuple (under the page's
+// read latch). Returning false stops early.
 func (r *RIDScan) ForEach(fn func(rid page.RecordID, t tuple.Tuple) (bool, error)) error {
-	tb, err := r.Store.Mgr.Get(r.Spec.Table)
-	if err != nil {
+	s := NewSeqScan(r.Store, r.Spec)
+	if err := s.Open(); err != nil {
 		return err
 	}
-	heap := tb.Heap
-	desc := heap.Desc()
-	segs := r.Spec.Segments.Resolve(heap)
-	inner := &SeqScan{store: r.Store, spec: r.Spec, desc: desc}
-	for _, si := range segs {
-		for _, pno := range heap.SegmentPages(si) {
-			pid := page.ID{Table: r.Spec.Table, PageNo: pno}
-			var f *buffer.Frame
-			if r.Spec.Locked {
-				f, err = r.Store.Pool.GetPage(r.Spec.Txn, pid, buffer.ReadPerm)
-			} else {
-				f, err = r.Store.Pool.GetPageNoLock(pid)
-			}
+	defer s.Close()
+	for {
+		if ok, err := s.advancePage(); !ok {
+			return err
+		}
+		pg := s.frame.Page
+		for slot := 0; slot < pg.NumSlots(); slot++ {
+			t, ok, err := s.slotTuple(slot)
 			if err != nil {
 				return err
 			}
-			f.Latch.RLock()
-			stop := false
-			for slot := 0; slot < f.Page.NumSlots() && !stop; slot++ {
-				if !f.Page.Used(slot) {
-					continue
-				}
-				raw, slotErr := f.Page.Slot(slot)
-				if slotErr != nil {
-					err = slotErr
-					break
-				}
-				t, decErr := tuple.Decode(desc, raw)
-				if decErr != nil {
-					err = decErr
-					break
-				}
-				vis, out := inner.present(t)
-				if !vis || !r.Spec.Pred.Eval(desc, out) {
-					continue
-				}
-				cont, fnErr := fn(page.RecordID{Page: pid, Slot: slot}, out)
-				if fnErr != nil {
-					err = fnErr
-					break
-				}
-				if !cont {
-					stop = true
-				}
+			if !ok {
+				continue
 			}
-			f.Latch.RUnlock()
-			r.Store.Pool.Unpin(f, false, 0)
-			if err != nil || stop {
+			if cont, err := fn(page.RecordID{Page: pg.ID(), Slot: slot}, t); err != nil || !cont {
 				return err
 			}
 		}
+		s.releaseFrame()
 	}
-	return nil
 }
 
 // IndexLookup returns the visible versions of a key via the primary index.

@@ -20,7 +20,9 @@ func testDesc() *tuple.Desc {
 	)
 }
 
-func newSite(t *testing.T) *version.Store {
+func newSite(t *testing.T) *version.Store { return newSiteFrames(t, 128) }
+
+func newSiteFrames(t testing.TB, frames int) *version.Store {
 	t.Helper()
 	mgr, err := storage.NewManager(t.TempDir())
 	if err != nil {
@@ -28,7 +30,7 @@ func newSite(t *testing.T) *version.Store {
 	}
 	t.Cleanup(func() { mgr.Close() })
 	locks := lockmgr.New(300 * time.Millisecond)
-	pool := buffer.New(&version.PageStore{Mgr: mgr}, locks, 128, buffer.StealNoForce)
+	pool := buffer.New(&version.PageStore{Mgr: mgr}, locks, frames, buffer.StealNoForce)
 	st := version.NewStore(mgr, pool, locks, nil)
 	if _, err := mgr.Create(1, testDesc(), 4); err != nil {
 		t.Fatal(err)
@@ -42,7 +44,7 @@ func mk(id, v int64) tuple.Tuple {
 
 // seed inserts rows committing each batch at consecutive timestamps
 // starting at ts0; returns the next unused timestamp.
-func seed(t *testing.T, st *version.Store, ts0 tuple.Timestamp, rows ...tuple.Tuple) tuple.Timestamp {
+func seed(t testing.TB, st *version.Store, ts0 tuple.Timestamp, rows ...tuple.Tuple) tuple.Timestamp {
 	t.Helper()
 	tid := version.TxnID(ts0 * 1000)
 	for _, r := range rows {

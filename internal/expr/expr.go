@@ -11,6 +11,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"harbor/internal/tuple"
@@ -118,6 +119,47 @@ func (p Pred) Eval(d *tuple.Desc, tp tuple.Tuple) bool {
 // IsTrue reports whether the predicate has no terms.
 func (p Pred) IsTrue() bool { return len(p.Terms) == 0 }
 
+// KeyRange is the inverse of KeyRange.Pred: the tightest range implied by
+// the predicate's terms on the key field. NE terms and terms on other
+// fields constrain nothing, so every tuple satisfying p has its key inside
+// the result and a reader may skip any partition or page disjoint from it.
+// A contradictory predicate (k >= 10 AND k < 5, k > MaxInt64, k = x AND
+// k = y) yields the zero KeyRange, which is Empty.
+func (p Pred) KeyRange(d *tuple.Desc) KeyRange {
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64) // both inclusive
+	for _, t := range p.Terms {
+		if t.Field != d.Key {
+			continue
+		}
+		v := t.Value.I64
+		switch t.Op {
+		case EQ:
+			lo, hi = max(lo, v), min(hi, v)
+		case GE:
+			lo = max(lo, v)
+		case GT:
+			if v == math.MaxInt64 {
+				return KeyRange{}
+			}
+			lo = max(lo, v+1)
+		case LE:
+			hi = min(hi, v)
+		case LT:
+			if v == math.MinInt64 {
+				return KeyRange{}
+			}
+			hi = min(hi, v-1)
+		}
+	}
+	if lo > hi {
+		return KeyRange{}
+	}
+	if hi < math.MaxInt64 {
+		hi++ // half-open; MaxInt64 already reads as unbounded above
+	}
+	return KeyRange{Lo: lo, Hi: hi}
+}
+
 // String renders the predicate.
 func (p Pred) String() string {
 	if p.IsTrue() {
@@ -174,6 +216,12 @@ func (r KeyRange) Intersect(o KeyRange) KeyRange {
 
 // Empty reports whether the range matches nothing.
 func (r KeyRange) Empty() bool { return r.Lo >= r.Hi && r.Hi != 1<<63-1 || r.Lo > r.Hi }
+
+// Overlaps reports whether any key of the closed interval [lo, hi] falls in
+// the range (the form per-page key bounds take).
+func (r KeyRange) Overlaps(lo, hi int64) bool {
+	return !r.Empty() && hi >= r.Lo && (r.Hi == math.MaxInt64 || lo < r.Hi)
+}
 
 // Pred converts the range into a predicate on the schema's key field.
 func (r KeyRange) Pred(d *tuple.Desc) Pred {

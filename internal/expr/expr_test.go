@@ -160,3 +160,106 @@ func TestStringRendering(t *testing.T) {
 		t.Fatalf("full range renders as %q", FullKeyRange().String())
 	}
 }
+
+func keyTerm(op Op, v int64) Term { return Term{Field: desc.Key, Op: op, Value: tuple.VInt(v)} }
+
+func TestPredKeyRange(t *testing.T) {
+	const minI, maxI = math.MinInt64, math.MaxInt64
+	qty := Term{Field: desc.FieldIndex("qty"), Op: LT, Value: tuple.VInt(3)}
+	cases := []struct {
+		label string
+		pred  Pred
+		want  KeyRange
+	}{
+		{"true", True, FullKeyRange()},
+		{"other field only", True.And(qty), FullKeyRange()},
+		{"ne constrains nothing", True.And(keyTerm(NE, 7)), FullKeyRange()},
+		{"eq", True.And(keyTerm(EQ, 7)), KeyRange{7, 8}},
+		{"half-open", True.And(keyTerm(GE, 10), keyTerm(LT, 20)), KeyRange{10, 20}},
+		{"closed", True.And(keyTerm(GE, 10), keyTerm(LE, 20)), KeyRange{10, 21}},
+		{"open below", True.And(keyTerm(GT, 10), qty), KeyRange{11, maxI}},
+		{"unbounded below", True.And(keyTerm(LT, 20)), KeyRange{minI, 20}},
+		{"tightest of several", True.And(keyTerm(GE, 1), keyTerm(GE, 5), keyTerm(LT, 9), keyTerm(LE, 6)), KeyRange{5, 7}},
+		{"eq max", True.And(keyTerm(EQ, maxI)), KeyRange{maxI, maxI}},
+		{"le max", True.And(keyTerm(LE, maxI)), FullKeyRange()},
+		{"ge min", True.And(keyTerm(GE, minI)), FullKeyRange()},
+		{"eq min", True.And(keyTerm(EQ, minI)), KeyRange{minI, minI + 1}},
+		{"inverted", True.And(keyTerm(GE, 10), keyTerm(LT, 5)), KeyRange{}},
+		{"gt max", True.And(keyTerm(GT, maxI)), KeyRange{}},
+		{"lt min", True.And(keyTerm(LT, minI)), KeyRange{}},
+		{"two different eq", True.And(keyTerm(EQ, 3), keyTerm(EQ, 4)), KeyRange{}},
+		{"touching bounds", True.And(keyTerm(GT, 5), keyTerm(LT, 6)), KeyRange{}},
+	}
+	for _, c := range cases {
+		got := c.pred.KeyRange(desc)
+		if got != c.want {
+			t.Errorf("%s: KeyRange(%v) = %v, want %v", c.label, c.pred, got, c.want)
+		}
+		if c.want == (KeyRange{}) && !got.Empty() {
+			t.Errorf("%s: contradictory predicate must yield an empty range", c.label)
+		}
+	}
+	// Round trip: a range's predicate implies the range again.
+	for _, r := range []KeyRange{FullKeyRange(), {10, 20}, {minI, 0}, {0, maxI}, {maxI, maxI}} {
+		if got := r.Pred(desc).KeyRange(desc); got != r {
+			t.Errorf("Pred(%v).KeyRange() = %v", r, got)
+		}
+	}
+}
+
+// Property: the derived range never excludes a key the predicate accepts,
+// and over key-only EQ/LT/LE/GT/GE terms it accepts nothing more — except
+// MaxInt64 itself, which a KeyRange ending at MaxInt64 cannot exclude.
+func TestQuickPredKeyRangeSound(t *testing.T) {
+	ops := []Op{EQ, NE, LT, LE, GT, GE}
+	edges := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	rng := rand.New(rand.NewSource(6))
+	pick := func() int64 {
+		if rng.Intn(3) == 0 {
+			return edges[rng.Intn(len(edges))]
+		}
+		return rng.Int63n(41) - 20
+	}
+	for i := 0; i < 5000; i++ {
+		p, exact := True, true
+		for n := rng.Intn(4); n >= 0; n-- {
+			op := ops[rng.Intn(len(ops))]
+			exact = exact && op != NE
+			p = p.And(keyTerm(op, pick()))
+		}
+		r := p.KeyRange(desc)
+		for j := 0; j < 50; j++ {
+			k := pick()
+			holds, in := p.Eval(desc, mk(k, 0, "")), r.Contains(k)
+			if holds && !in {
+				t.Fatalf("%v accepts key %d but its range %v does not", p, k, r)
+			}
+			if exact && in && !holds && k != math.MaxInt64 {
+				t.Fatalf("range %v of %v is not tight: contains %d", r, p, k)
+			}
+		}
+	}
+}
+
+func TestKeyRangeOverlaps(t *testing.T) {
+	r := KeyRange{Lo: 10, Hi: 20}
+	for _, c := range []struct {
+		lo, hi int64
+		want   bool
+	}{
+		{0, 9, false}, {0, 10, true}, {12, 13, true}, {19, 30, true}, {20, 30, false},
+		{math.MinInt64, math.MaxInt64, true},
+	} {
+		if got := r.Overlaps(c.lo, c.hi); got != c.want {
+			t.Errorf("%v.Overlaps(%d,%d) = %v, want %v", r, c.lo, c.hi, got, c.want)
+		}
+	}
+	if !(KeyRange{Lo: 5, Hi: math.MaxInt64}).Overlaps(math.MaxInt64, math.MaxInt64) {
+		t.Error("a range unbounded above must overlap a page holding MaxInt64")
+	}
+	for _, empty := range []KeyRange{{}, {10, 5}, {7, 7}} {
+		if empty.Overlaps(math.MinInt64, math.MaxInt64) {
+			t.Errorf("empty range %v overlaps", empty)
+		}
+	}
+}

@@ -18,14 +18,26 @@ import (
 // The index is an in-memory structure rebuilt from the heap file at open;
 // like the thesis implementation it is not separately persisted, since it
 // can always be derived from the data.
+//
+// Beside the postings it keeps, per page, conservative bounds on the keys
+// stored there, so a scan with a key predicate can skip pages that cannot
+// hold a qualifying tuple (see PageBounds).
 type KeyIndex struct {
-	mu sync.RWMutex
-	m  map[int64][]page.RecordID
+	mu    sync.RWMutex
+	m     map[int64][]page.RecordID
+	pages map[page.ID]*pageKeys
+}
+
+// pageKeys is one page's key bounds: every record id the index holds for
+// the page was added under a key in [min, max]. n counts those record ids.
+type pageKeys struct {
+	min, max int64
+	n        int
 }
 
 // NewKeyIndex returns an empty index.
 func NewKeyIndex() *KeyIndex {
-	return &KeyIndex{m: map[int64][]page.RecordID{}}
+	return &KeyIndex{m: map[int64][]page.RecordID{}, pages: map[page.ID]*pageKeys{}}
 }
 
 // BuildKeyIndex scans every segment of the heap file and indexes each used
@@ -43,14 +55,43 @@ func BuildKeyIndex(h *HeapFile) (*KeyIndex, error) {
 	return idx, nil
 }
 
-// Add indexes a record id under key.
+// Add indexes a record id under key and widens its page's key bounds to
+// include key. Every path that writes a tuple into a page calls Add before
+// the tuple is published to readers (a transaction before its commit
+// stamp, the transfer engine before the watermark that admits reads), so a
+// page's bounds cover every tuple a reader may be owed from it.
 func (x *KeyIndex) Add(key int64, rid page.RecordID) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.m[key] = append(x.m[key], rid)
+	pk := x.pages[rid.Page]
+	if pk == nil {
+		pk = &pageKeys{min: key, max: key}
+		x.pages[rid.Page] = pk
+	}
+	pk.min, pk.max, pk.n = min(pk.min, key), max(pk.max, key), pk.n+1
+}
+
+// PageBounds returns the closed key interval covering every indexed tuple
+// of the page. ok is false for a page the index knows nothing about — never
+// indexed (bulk-loaded and not yet rebuilt), quarantined as corrupt, or
+// emptied — and such a page must be visited, not skipped: only a visit
+// finds unindexed tuples or trips the corruption that starts a repair.
+// Bounds only ever widen while the page holds indexed tuples, so they stay
+// correct, and merely lose selectivity, as updates scatter keys over pages.
+func (x *KeyIndex) PageBounds(pid page.ID) (lo, hi int64, ok bool) {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	if pk := x.pages[pid]; pk != nil {
+		return pk.min, pk.max, true
+	}
+	return 0, 0, false
 }
 
 // Remove drops one record id from a key's posting list (physical delete).
+// The page's key bounds are never narrowed — the index cannot tell which
+// keys remain — but they are forgotten with the page's last record id, so a
+// page number that is freed and reused starts from fresh bounds.
 func (x *KeyIndex) Remove(key int64, rid page.RecordID) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -59,6 +100,11 @@ func (x *KeyIndex) Remove(key int64, rid page.RecordID) {
 		if r == rid {
 			lst[i] = lst[len(lst)-1]
 			lst = lst[:len(lst)-1]
+			if pk := x.pages[rid.Page]; pk != nil {
+				if pk.n--; pk.n == 0 {
+					delete(x.pages, rid.Page)
+				}
+			}
 			break
 		}
 	}
@@ -71,10 +117,13 @@ func (x *KeyIndex) Remove(key int64, rid page.RecordID) {
 
 // DropPage removes every record id that lives on the given page — the
 // quarantine step of torn-page repair, where the page's keys cannot be read
-// back to Remove them one by one. Returns the number of entries dropped.
+// back to Remove them one by one. The page's key bounds go with them, so
+// scans keep visiting it until repair refills it. Returns the number of
+// entries dropped.
 func (x *KeyIndex) DropPage(pid page.ID) int {
 	x.mu.Lock()
 	defer x.mu.Unlock()
+	delete(x.pages, pid)
 	dropped := 0
 	for key, lst := range x.m {
 		kept := lst[:0]
@@ -117,6 +166,7 @@ func (x *KeyIndex) Clear() {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.m = map[int64][]page.RecordID{}
+	x.pages = map[page.ID]*pageKeys{}
 }
 
 // Quantiles returns up to n-1 interior key boundaries that split the
@@ -158,7 +208,7 @@ func (x *KeyIndex) Rebuild(h *HeapFile) error {
 		return err
 	}
 	x.mu.Lock()
-	x.m = fresh.m
+	x.m, x.pages = fresh.m, fresh.pages
 	x.mu.Unlock()
 	return nil
 }

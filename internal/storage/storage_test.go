@@ -449,6 +449,75 @@ func TestBuildKeyIndex(t *testing.T) {
 	}
 }
 
+// TestKeyIndexPageBounds pins the per-page key bounds contract: Add widens,
+// Remove never narrows, the last Remove / DropPage / Clear forget the page
+// (an unknown page must be visited), and Rebuild derives fresh bounds.
+func TestKeyIndexPageBounds(t *testing.T) {
+	idx := NewKeyIndex()
+	p0, p1 := page.ID{Table: 1, PageNo: 0}, page.ID{Table: 1, PageNo: 1}
+	rid := func(p page.ID, slot int) page.RecordID { return page.RecordID{Page: p, Slot: slot} }
+	bounds := func(p page.ID) [2]int64 {
+		t.Helper()
+		lo, hi, ok := idx.PageBounds(p)
+		if !ok {
+			t.Fatalf("page %v has no bounds", p)
+		}
+		return [2]int64{lo, hi}
+	}
+	unknown := func(p page.ID) {
+		t.Helper()
+		if _, _, ok := idx.PageBounds(p); ok {
+			t.Fatalf("page %v should have no bounds", p)
+		}
+	}
+	unknown(p0)
+	idx.Add(50, rid(p0, 0))
+	idx.Add(40, rid(p0, 1))
+	idx.Add(90, rid(p0, 2))
+	idx.Add(7, rid(p1, 0))
+	if got := bounds(p0); got != [2]int64{40, 90} {
+		t.Fatalf("p0 bounds = %v, want [40 90]", got)
+	}
+	if got := bounds(p1); got != [2]int64{7, 7} {
+		t.Fatalf("p1 bounds = %v, want [7 7]", got)
+	}
+	// Removing an extreme key must not narrow: the index cannot know what
+	// else the page holds under that bound.
+	idx.Remove(90, rid(p0, 2))
+	idx.Remove(90, rid(p0, 2)) // a repeated or unknown removal changes nothing
+	idx.Remove(41, rid(p0, 1))
+	if got := bounds(p0); got != [2]int64{40, 90} {
+		t.Fatalf("p0 bounds after Remove = %v, want [40 90]", got)
+	}
+	// The last record id takes the bounds with it; a reused page starts over.
+	idx.Remove(50, rid(p0, 0))
+	idx.Remove(40, rid(p0, 1))
+	unknown(p0)
+	idx.Add(1000, rid(p0, 0))
+	if got := bounds(p0); got != [2]int64{1000, 1000} {
+		t.Fatalf("reused p0 bounds = %v, want [1000 1000]", got)
+	}
+	if n := idx.DropPage(p0); n != 1 {
+		t.Fatalf("DropPage dropped %d entries, want 1", n)
+	}
+	unknown(p0)
+	bounds(p1)
+	idx.Clear()
+	unknown(p1)
+
+	h := newHeap(t, 4)
+	for _, id := range []int64{30, 10, 20} {
+		writeTuple(t, h, id, 1, 0)
+	}
+	idx.Add(-5, rid(p0, 9)) // stale state Rebuild must replace
+	if err := idx.Rebuild(h); err != nil {
+		t.Fatal(err)
+	}
+	if got := bounds(page.ID{Table: h.TableID(), PageNo: 0}); got != [2]int64{10, 30} {
+		t.Fatalf("rebuilt bounds = %v, want [10 30]", got)
+	}
+}
+
 func TestManagerLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	m, err := NewManager(dir)

@@ -24,6 +24,7 @@ import (
 
 	"harbor/internal/buffer"
 	"harbor/internal/lockmgr"
+	"harbor/internal/obs"
 	"harbor/internal/page"
 	"harbor/internal/storage"
 	"harbor/internal/tuple"
@@ -68,11 +69,17 @@ type Store struct {
 	// freePages tracks pages with free slots per table (from rollbacks and
 	// recovery's physical deletes), checked before allocating fresh pages.
 	freePages map[int32]map[int32]bool
+
+	// ScanPagesVisited and ScanPagesPruned count, over every sequential scan
+	// of this store, the pages pinned and the pages skipped because their
+	// key bounds ruled out the scan's predicate (exec.scan.pages_visited,
+	// exec.scan.pages_pruned); rebindable via Instrument.
+	ScanPagesVisited, ScanPagesPruned *obs.Counter
 }
 
 // NewStore wires the versioning layer. log may be nil.
 func NewStore(mgr *storage.Manager, pool *buffer.Pool, locks *lockmgr.Manager, log *wal.Manager) *Store {
-	return &Store{
+	s := &Store{
 		Mgr:       mgr,
 		Pool:      pool,
 		Locks:     locks,
@@ -80,6 +87,15 @@ func NewStore(mgr *storage.Manager, pool *buffer.Pool, locks *lockmgr.Manager, l
 		txns:      map[TxnID]*Txn{},
 		freePages: map[int32]map[int32]bool{},
 	}
+	s.Instrument(obs.NewRegistry())
+	return s
+}
+
+// Instrument rebinds the store's counters to reg (call before concurrent
+// use); the owning Site passes its registry.
+func (s *Store) Instrument(reg *obs.Registry) {
+	s.ScanPagesVisited = reg.Counter("exec.scan.pages_visited")
+	s.ScanPagesPruned = reg.Counter("exec.scan.pages_pruned")
 }
 
 // Begin registers a transaction. Idempotent.

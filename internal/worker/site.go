@@ -249,6 +249,7 @@ func Open(cfg Config) (*Site, error) {
 	pool := buffer.New(&version.PageStore{Mgr: mgr, Log: log}, locks, cfg.PoolFrames, buffer.StealNoForce)
 	pool.Instrument(reg)
 	store := version.NewStore(mgr, pool, locks, log)
+	store.Instrument(reg)
 	s := &Site{
 		Cfg:   cfg,
 		plan:  plan,
