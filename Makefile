@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-smoke bench-scan bench-agg bench-recovery bench-rebalance chaos soak smoke
+.PHONY: all build test race vet check bench bench-smoke bench-agg bench-recovery bench-rebalance chaos soak smoke
 
 all: check
 
@@ -45,11 +45,6 @@ bench:
 # yardstick.
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-
-# Batched-pipeline throughput: distributed scan + Phase 2 catch-up, batched
-# framing vs its tuple-at-a-time ablation. Regenerates BENCH_scan.json.
-bench-scan:
-	$(GO) run ./cmd/harbor-bench scan | tee BENCH_scan.json
 
 # Aggregate pushdown vs ship-every-row ablation: the 100k-row 4-site
 # grouped sum. Regenerates BENCH_agg.json.

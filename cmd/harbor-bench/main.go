@@ -11,7 +11,6 @@
 //	harbor-bench fig65 [-txns 2000]
 //	harbor-bench fig66
 //	harbor-bench fig67 [-seconds 12]
-//	harbor-bench scan [-rows 100000] [-iters 3]
 //	harbor-bench agg [-rows 100000] [-iters 5]
 //	harbor-bench recovery [-rows 100000] [-objects 4]
 //	harbor-bench rebalance [-rows 64000] [-seconds 6]
@@ -49,8 +48,8 @@ func main() {
 	segments := fs.Int("segments", 20, "preloaded segments per table (fig64/65/66)")
 	segPages := fs.Int("segpages", 64, "pages per segment")
 	seconds := fs.Int("seconds", 12, "timeline length (fig67)")
-	rows := fs.Int("rows", 100000, "table cardinality (scan)")
-	iters := fs.Int("iters", 3, "timed scan repetitions (scan)")
+	rows := fs.Int("rows", 100000, "table cardinality (agg, recovery, rebalance)")
+	iters := fs.Int("iters", 3, "timed query repetitions (agg)")
 	objects := fs.Int("objects", 4, "tables on the recovering site (recovery)")
 	_ = fs.Parse(os.Args[2:])
 
@@ -78,15 +77,13 @@ func main() {
 		err = runFig66(*segments, int32(*segPages), *txns)
 	case "fig67":
 		err = runFig67(time.Duration(*seconds) * time.Second)
-	case "scan":
-		err = runScan(*rows, *iters)
 	case "agg":
 		err = runAgg(*rows, *iters)
 	case "recovery":
 		err = runRecovery(*rows, *objects)
 	case "rebalance":
 		r := *rows
-		if r == 100000 { // flag default is the scan bench's cardinality
+		if r == 100000 { // flag default is the agg and recovery benches' cardinality
 			r = 64000
 		}
 		s := *seconds
@@ -107,7 +104,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: harbor-bench <table42|table41|protocols|fig62|fig63|fig64|fig65|fig66|fig67|scan|agg|recovery|rebalance|all> [flags]`)
+	fmt.Fprintln(os.Stderr, `usage: harbor-bench <table42|table41|protocols|fig62|fig63|fig64|fig65|fig66|fig67|agg|recovery|rebalance|all> [flags]`)
 }
 
 func parseInts(s string) []int {

@@ -940,12 +940,6 @@ func (h *Harness) scanReplica(i int, asOf tuple.Timestamp) (map[tkey]repRow, err
 		}); err != nil {
 			return nil, err
 		}
-		add := func(t tuple.Tuple) {
-			out[tkey{table, t.Key(desc)}] = repRow{
-				val: t.Values[desc.FieldIndex("v")].I64,
-				ts:  t.InsTS(),
-			}
-		}
 	stream:
 		for {
 			resp, err := c.RecvTimeout(5 * time.Second)
@@ -957,8 +951,6 @@ func (h *Harness) scanReplica(i int, asOf tuple.Timestamp) (map[tkey]repRow, err
 				return nil, resp.Err()
 			case wire.MsgScanEnd:
 				break stream
-			case wire.MsgTuple:
-				add(wire.ToTuple(resp.Tuple))
 			case wire.MsgTupleBatch:
 				n, err := wire.CheckBatch(resp, desc.Width())
 				if err != nil {
@@ -969,7 +961,10 @@ func (h *Harness) scanReplica(i int, asOf tuple.Timestamp) (map[tkey]repRow, err
 					return nil, err
 				}
 				for _, t := range b.Rows() {
-					add(t)
+					out[tkey{table, t.Key(desc)}] = repRow{
+						val: t.Values[desc.FieldIndex("v")].I64,
+						ts:  t.InsTS(),
+					}
 				}
 			default:
 				return nil, fmt.Errorf("chaos: unexpected %v in scan stream", resp.Type)

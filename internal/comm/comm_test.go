@@ -235,7 +235,7 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 func TestTupleStreaming(t *testing.T) {
-	// Server streams N tuples then a scan end.
+	// Server streams N one-row keys-only batch frames then a scan end.
 	const n = 1000
 	srv, err := Listen("127.0.0.1:0", HandlerFunc(func(c *Conn) {
 		for {
@@ -247,7 +247,9 @@ func TestTupleStreaming(t *testing.T) {
 				return
 			}
 			for i := 0; i < n; i++ {
-				if err := c.SendNoFlush(&wire.Msg{Type: wire.MsgTuple, Key: int64(i)}); err != nil {
+				frame := &wire.Msg{Type: wire.MsgTupleBatch, Count: 1, Flags: wire.FlagYes,
+					Raw: wire.AppendKeyRow(nil, int64(i), 0)}
+				if err := c.SendNoFlush(frame); err != nil {
 					return
 				}
 			}
@@ -286,8 +288,8 @@ func TestTupleStreaming(t *testing.T) {
 			}
 			break
 		}
-		if m.Key != int64(count) {
-			t.Fatalf("out of order: got %d want %d", m.Key, count)
+		if key, _ := wire.KeyRow(m.Raw, 0); key != int64(count) {
+			t.Fatalf("out of order: got %d want %d", key, count)
 		}
 		count++
 	}

@@ -21,9 +21,7 @@ package coord
 import (
 	"fmt"
 
-	"harbor/internal/comm"
 	"harbor/internal/exec"
-	"harbor/internal/expr"
 	"harbor/internal/tuple"
 	"harbor/internal/wire"
 )
@@ -74,7 +72,10 @@ func (co *Coordinator) Aggregate(table int32, opt QueryOptions, plan exec.AggPla
 		return nil, err
 	}
 	defer q.release()
-	aq := &aggQuery{scanQuery: q, plan: plan, partial: partial}
+	aq := &aggQuery{scanQuery: q, plan: plan, partial: partial, aggs: make([]wire.AggCol, len(partial))}
+	for i, a := range partial {
+		aq.aggs[i] = wire.AggCol{Fn: uint8(a.Fn), Field: int32(a.Field)}
+	}
 	if err := aq.run(slots, final, 0); err != nil {
 		return nil, err
 	}
@@ -87,6 +88,7 @@ type aggQuery struct {
 	*scanQuery
 	plan    exec.AggPlan
 	partial []exec.AggSpec
+	aggs    []wire.AggCol // partial, as the request's agg spec
 }
 
 // run fans the slots out concurrently (bounded by the fan-out limit),
@@ -105,7 +107,13 @@ func (aq *aggQuery) run(slots []scanSlot, final *exec.GroupTable, depth int) err
 		err error
 	}
 	results := fanEach(co.fanoutLimit(), slots, func(_ int, slot scanSlot) slotOut {
-		st, err := aq.readAggSlot(slot)
+		// Slot-local states: merged below only if the stream ended cleanly.
+		st := exec.NewGroupTable(aq.plan.GroupField, aq.partial)
+		req := aq.slotRequest(slot)
+		req.AggGroup, req.Aggs = int32(aq.plan.GroupField), aq.aggs
+		err := aq.readSlot(slot, req, wire.MsgAggBatch, func(resp *wire.Msg) (bool, error) {
+			return true, aq.mergeFrame(st, resp)
+		})
 		return slotOut{st, err}
 	})
 	for i, r := range results {
@@ -123,13 +131,9 @@ func (aq *aggQuery) run(slots []scanSlot, final *exec.GroupTable, depth int) err
 		// Discard-and-refetch: nothing of this slot was merged, so the
 		// replan re-reads its entire key range from the survivors.
 		co.aggFailovers.Inc()
-		plan, perr := co.cfg.Catalog.RecoveryPlan(aq.table, slots[i].rng, slots[i].site, aq.live)
+		sub, perr := aq.replan(slots[i], slots[i].rng)
 		if perr != nil {
 			return r.err // no surviving coverage: report the read error
-		}
-		sub := make([]scanSlot, len(plan))
-		for j, src := range plan {
-			sub[j] = scanSlot{site: src.Buddy, rng: src.Pred}
 		}
 		if err := aq.run(sub, final, depth+1); err != nil {
 			return err
@@ -138,110 +142,29 @@ func (aq *aggQuery) run(slots []scanSlot, final *exec.GroupTable, depth int) err
 	return nil
 }
 
-// readAggSlot streams one slot's partial aggregate states into a
-// slot-local table, which is returned only if the stream ended cleanly.
-func (aq *aggQuery) readAggSlot(slot scanSlot) (*exec.GroupTable, error) {
-	co := aq.co
-	p, err := co.pool(slot.site)
-	if err != nil {
-		return nil, err
-	}
-	pred := aq.pred
-	m := &wire.Msg{
-		Type: wire.MsgScan, Txn: aq.id, Table: aq.table,
-		Vis: uint8(aq.vis), TS: aq.asOf, Pred: pred.Terms,
-		AggGroup: int32(aq.plan.GroupField),
-		Aggs:     make([]wire.AggCol, len(aq.partial)),
-	}
-	if slot.rng != expr.FullKeyRange() {
-		pred = pred.And(slot.rng.Pred(aq.spec.Desc).Terms...)
-		m.Pred = pred.Terms
-		// Declare the touched key range for the worker's per-segment
-		// recovery gate (see readSlot).
-		m.KeyLo, m.KeyHi = slot.rng.Lo, slot.rng.Hi
-	}
-	for i, a := range aq.partial {
-		m.Aggs[i] = wire.AggCol{Fn: uint8(a.Fn), Field: int32(a.Field)}
-	}
-	if aq.locked {
-		m.Flags |= wire.FlagYes
-	}
-	// The send plus first receive is the borrowed conn's first exchange: a
-	// transport error there on a pooled conn retries once on a fresh dial
-	// (stale idle conn) before declaring the site down.
-	var first *wire.Msg
-	conn, err := co.borrow(p, func(c *comm.Conn) error {
-		err := c.Send(m)
-		co.msgsSent.Add(1) // counted per attempted send (see Counters)
-		if err != nil {
-			return err
-		}
-		first, err = c.Recv()
-		return err
-	})
-	if err != nil {
-		co.MarkDown(slot.site)
-		return nil, err
-	}
+// mergeFrame folds one MsgAggBatch frame of partial states into st.
+func (aq *aggQuery) mergeFrame(st *exec.GroupTable, resp *wire.Msg) error {
 	ncols := len(aq.partial)
 	grouped := aq.plan.GroupField >= 0
 	if grouped {
 		ncols++
 	}
-	st := exec.NewGroupTable(aq.plan.GroupField, aq.partial)
+	n, err := wire.CheckBatch(resp, wire.AggStride(ncols))
+	if err != nil {
+		return err
+	}
+	aq.co.aggRowsShipped.Add(int64(n))
+	aq.co.aggFrames.Inc()
 	vals := make([]int64, 0, ncols)
-	for resp := first; ; {
-		end := false
-		switch resp.Type {
-		case wire.MsgErr:
-			p.Put(conn)
-			return nil, resp.Err()
-		case wire.MsgScanEnd:
-			end = true
-		case wire.MsgAggBatch:
-			n, err := wire.CheckBatch(resp, wire.AggStride(ncols))
-			if err != nil {
-				conn.Close()
-				return nil, err
-			}
-			co.aggRowsShipped.Add(int64(n))
-			co.aggFrames.Inc()
-			for i := 0; i < n; i++ {
-				vals = wire.AggRow(resp.Raw, i, ncols, vals[:0])
-				key := int64(0)
-				state := vals
-				if grouped {
-					key, state = vals[0], vals[1:]
-				}
-				if err := st.Merge(key, state); err != nil {
-					conn.Close()
-					return nil, err
-				}
-			}
-		default:
-			conn.Close()
-			return nil, fmt.Errorf("coord: unexpected %v in aggregate stream", resp.Type)
+	for i := 0; i < n; i++ {
+		vals = wire.AggRow(resp.Raw, i, ncols, vals[:0])
+		key, state := int64(0), vals
+		if grouped {
+			key, state = vals[0], vals[1:]
 		}
-		if end {
-			break
-		}
-		resp, err = conn.Recv()
-		if err != nil {
-			co.MarkDown(slot.site)
-			conn.Close()
-			return nil, err
+		if err := st.Merge(key, state); err != nil {
+			return err
 		}
 	}
-	if aq.locked {
-		// Release the read transaction's locks, as the row-scan path does.
-		_, err := conn.Call(&wire.Msg{Type: wire.MsgEndRead, Txn: aq.id})
-		co.msgsSent.Add(1) // counted per attempted send (see Counters)
-		if err != nil {
-			co.MarkDown(slot.site)
-			conn.Close()
-			return st, nil
-		}
-	}
-	p.Put(conn)
-	return st, nil
+	return nil
 }

@@ -3,9 +3,12 @@ package coord_test
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
+	"harbor/internal/catalog"
 	"harbor/internal/coord"
+	"harbor/internal/exec"
 	"harbor/internal/expr"
 	"harbor/internal/testutil"
 	"harbor/internal/tuple"
@@ -64,24 +67,66 @@ func seedMixed(t *testing.T, cl *testutil.Cluster, table int32, seed int64, n in
 }
 
 // requireSameRows asserts two scans produced identical rows in identical
-// order — the batched pipeline's equivalence contract.
-func requireSameRows(t *testing.T, label string, batched, legacy []tuple.Tuple) {
+// order.
+func requireSameRows(t *testing.T, label string, got, want []tuple.Tuple) {
 	t.Helper()
-	if len(batched) != len(legacy) {
-		t.Fatalf("%s: batched scan returned %d rows, tuple-at-a-time %d", label, len(batched), len(legacy))
+	if len(got) != len(want) {
+		t.Fatalf("%s: scan returned %d rows, want %d", label, len(got), len(want))
 	}
-	for i := range batched {
-		if !reflect.DeepEqual(batched[i].Values, legacy[i].Values) {
-			t.Fatalf("%s: row %d differs:\n  batched %v\n  legacy  %v",
-				label, i, batched[i].Values, legacy[i].Values)
+	for i := range got {
+		if !reflect.DeepEqual(got[i].Values, want[i].Values) {
+			t.Fatalf("%s: row %d differs:\n  got  %v\n  want %v",
+				label, i, got[i].Values, want[i].Values)
 		}
 	}
 }
 
-// TestScanFramingEquivalence: for every query shape, the batched wire
-// framing and the legacy per-tuple framing must deliver identical rows in
-// the identical deterministic (site, key) order — on a fully replicated
-// table (single slot) and on a 4-way range-partitioned table (k-way merge).
+// localScan computes a healthy cluster's answer without the wire: the
+// slots the coordinator plans (the replicas' coverage of the predicate's
+// key range, ordered by serving site, then range low), each read
+// in-process from its site's store with the query's visibility, as-of
+// time and predicate narrowed to the slot, sorted by key, concatenated in
+// slot order.
+func localScan(t *testing.T, cl *testutil.Cluster, table int32, opt coord.QueryOptions) []tuple.Tuple {
+	t.Helper()
+	desc := testDesc()
+	var cands []catalog.RangeCandidate
+	for _, r := range cl.Catalog.Replicas(table) {
+		cands = append(cands, catalog.RangeCandidate{Site: r.Site, Table: r.Table, Range: r.Range})
+	}
+	slots, err := catalog.CoverTarget(opt.Pred.KeyRange(desc), cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.SliceStable(slots, func(i, j int) bool {
+		if slots[i].Buddy != slots[j].Buddy {
+			return slots[i].Buddy < slots[j].Buddy
+		}
+		return slots[i].Pred.Lo < slots[j].Pred.Lo
+	})
+	spec := exec.ScanSpec{Table: table, Vis: exec.Current}
+	if opt.Historical {
+		spec.Vis, spec.AsOf = exec.Historical, opt.AsOf
+	}
+	var out []tuple.Tuple
+	for _, slot := range slots {
+		spec.Pred = opt.Pred.And(slot.Pred.Pred(desc).Terms...)
+		w := cl.Workers[int(slot.Buddy)-int(testutil.WorkerSiteID(0))]
+		rows, err := exec.Drain(exec.NewSeqScan(w.Store, spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.SliceStable(rows, func(i, j int) bool { return rows[i].Key(desc) < rows[j].Key(desc) })
+		out = append(out, rows...)
+	}
+	return out
+}
+
+// TestScanFramingEquivalence: for every query shape, the rows a scan
+// streams as batch frames must equal, in the deterministic (site, key)
+// order, the rows read in-process from the serving workers' stores — on a
+// fully replicated table (single slot) and on a 4-way range-partitioned
+// table (k-way merge).
 func TestScanFramingEquivalence(t *testing.T) {
 	cl := newCluster(t, txn.OptThreePC, worker.HARBOR, 4)
 	if err := cl.CreateRangePartitionedTable(2, testDesc(), 4, 250, 500, 750); err != nil {
@@ -106,30 +151,24 @@ func TestScanFramingEquivalence(t *testing.T) {
 		{"partitioned/predicate", 2, coord.QueryOptions{Pred: pred}},
 	}
 	for _, tc := range cases {
-		batched, err := cl.Coord.Scan(tc.table, tc.opt)
+		got, err := cl.Coord.Scan(tc.table, tc.opt)
 		if err != nil {
-			t.Fatalf("%s: batched scan: %v", tc.label, err)
+			t.Fatalf("%s: scan: %v", tc.label, err)
 		}
-		if len(batched) == 0 {
+		if len(got) == 0 {
 			t.Fatalf("%s: scan returned nothing; case is vacuous", tc.label)
 		}
-		legacyOpt := tc.opt
-		legacyOpt.TupleAtATime = true
-		legacy, err := cl.Coord.Scan(tc.table, legacyOpt)
-		if err != nil {
-			t.Fatalf("%s: tuple-at-a-time scan: %v", tc.label, err)
-		}
-		requireSameRows(t, tc.label, batched, legacy)
+		requireSameRows(t, tc.label, got, localScan(t, cl, tc.table, tc.opt))
 	}
 }
 
-// TestScanFailoverEquivalence: a batched scan whose serving site is killed
-// from the sink — after the first delivered batch — must still produce the
-// exact rows a tuple-at-a-time scan of an identically-seeded healthy
-// cluster produces: failover resumes the remaining key range from a buddy
-// without dropping, duplicating, or reordering anything. A second scan
-// against the already-degraded cluster covers the site-down-at-launch path
-// of the same replanning machinery.
+// TestScanFailoverEquivalence: a scan whose serving site is killed from
+// the sink — after the first delivered batch — must still produce the
+// exact rows a scan of an identically-seeded healthy cluster produces:
+// failover resumes the remaining key range from a buddy without dropping,
+// duplicating, or reordering anything. A second scan against the
+// already-degraded cluster covers the site-down-at-launch path of the same
+// replanning machinery.
 func TestScanFailoverEquivalence(t *testing.T) {
 	const n, seed = 2000, 77
 	killed := newCluster(t, txn.OptThreePC, worker.HARBOR, 3)
@@ -137,7 +176,7 @@ func TestScanFailoverEquivalence(t *testing.T) {
 	seedMixed(t, killed, 1, seed, n)
 	seedMixed(t, healthy, 1, seed, n)
 
-	want, err := healthy.Coord.Scan(1, coord.QueryOptions{TupleAtATime: true})
+	want, err := healthy.Coord.Scan(1, coord.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -433,14 +433,10 @@ type QueryOptions struct {
 	// PreferSite pins the read to one site when it holds the data
 	// (load-balancing hook); 0 lets the planner choose.
 	PreferSite catalog.SiteID
-	// TupleAtATime asks the workers for the legacy per-tuple wire framing
-	// instead of batch frames. Row content and order are identical; the
-	// flag exists for the equivalence tests and the bench baseline.
-	TupleAtATime bool
 	// NoPushdown makes Aggregate ship every qualifying row and aggregate
 	// at the coordinator instead of pushing partial aggregation down to the
 	// workers. Results are identical; the flag exists for the equivalence
-	// tests and the bench ablation (mirroring TupleAtATime).
+	// tests and the bench ablation.
 	NoPushdown bool
 }
 
@@ -482,17 +478,16 @@ func sortScanSlots(slots []scanSlot) {
 
 // scanQuery carries a distributed read's invariant parameters.
 type scanQuery struct {
-	co           *Coordinator
-	spec         *catalog.TableSpec
-	id           txn.ID
-	table        int32
-	vis          exec.Visibility
-	asOf         tuple.Timestamp
-	locked       bool
-	pred         expr.Pred
-	tupleAtATime bool
-	live         func(catalog.SiteID) bool
-	regID        int64 // active-scan registry entry (routing epoch)
+	co     *Coordinator
+	spec   *catalog.TableSpec
+	id     txn.ID
+	table  int32
+	vis    exec.Visibility
+	asOf   tuple.Timestamp
+	locked bool
+	pred   expr.Pred
+	live   func(catalog.SiteID) bool
+	regID  int64 // active-scan registry entry (routing epoch)
 }
 
 // release removes the read from the active-scan registry. Placement changes
@@ -587,15 +582,32 @@ func (co *Coordinator) planRead(table int32, opt QueryOptions) ([]scanSlot, *sca
 			srcs = single
 		}
 	}
+	slots := toSlots(srcs)
+	sortScanSlots(slots)
+	q := &scanQuery{co: co, spec: spec, id: co.ids.Next(), table: table, vis: vis,
+		asOf: asOf, locked: locked, pred: opt.Pred, live: live, regID: regID}
+	return slots, q, nil
+}
+
+// toSlots turns a coverage plan into read slots, one per source.
+func toSlots(srcs []catalog.RecoverySource) []scanSlot {
 	slots := make([]scanSlot, len(srcs))
 	for i, src := range srcs {
 		slots[i] = scanSlot{site: src.Buddy, rng: src.Pred}
 	}
-	sortScanSlots(slots)
-	q := &scanQuery{co: co, spec: spec, id: co.ids.Next(), table: table, vis: vis,
-		asOf: asOf, locked: locked, pred: opt.Pred, tupleAtATime: opt.TupleAtATime,
-		live: live, regID: regID}
-	return slots, q, nil
+	return slots
+}
+
+// replan covers rng, the part of slot that its site failed to deliver,
+// from the surviving replicas. RecoveryPlan returns disjoint sources in
+// ascending-Lo order; the sub-slots keep that order so a failed range
+// stays key-contiguous where the caller splices it in.
+func (q *scanQuery) replan(slot scanSlot, rng expr.KeyRange) ([]scanSlot, error) {
+	plan, err := q.co.cfg.Catalog.RecoveryPlan(q.table, rng, slot.site, q.live)
+	if err != nil {
+		return nil, err
+	}
+	return toSlots(plan), nil
 }
 
 // run streams the slots to sink in slot order. Readers launch strictly in
@@ -627,14 +639,19 @@ func (q *scanQuery) run(slots []scanSlot, sink func([]tuple.Tuple) error, depth 
 			}
 			go func(i int) {
 				defer func() { <-sem }()
-				err := q.readSlot(slots[i], func(rows []tuple.Tuple) bool {
-					select {
-					case streams[i].ch <- rows:
-						return true
-					case <-done:
-						return false
-					}
-				})
+				err := q.readSlot(slots[i], q.slotRequest(slots[i]), wire.MsgTupleBatch,
+					func(resp *wire.Msg) (bool, error) {
+						rows, err := q.decodeRows(resp)
+						if err != nil {
+							return false, err
+						}
+						select {
+						case streams[i].ch <- rows:
+							return true, nil
+						case <-done:
+							return false, nil // merge abandoned
+						}
+					})
 				close(streams[i].ch)
 				streams[i].errc <- err
 			}(i)
@@ -675,16 +692,10 @@ func (q *scanQuery) run(slots []scanSlot, sink func([]tuple.Tuple) error, depth 
 		if remaining.Empty() {
 			continue
 		}
-		plan, perr := q.co.cfg.Catalog.RecoveryPlan(q.table, remaining, slot.site, q.live)
+		sub, perr := q.replan(slot, remaining)
 		if perr != nil {
 			return err // no surviving coverage: report the read error
 		}
-		sub := make([]scanSlot, len(plan))
-		for j, src := range plan {
-			sub[j] = scanSlot{site: src.Buddy, rng: src.Pred}
-		}
-		// RecoveryPlan returns disjoint sources in ascending-Lo order; keep
-		// that order so the failed range stays key-contiguous in the output.
 		if err := q.run(sub, sink, depth+1); err != nil {
 			return err
 		}
@@ -692,114 +703,95 @@ func (q *scanQuery) run(slots []scanSlot, sink func([]tuple.Tuple) error, depth 
 	return nil
 }
 
-// readSlot streams one slot from its site, pushing row batches through
-// push (which reports false when the merge has gone away). Batch frames
-// are the default; with TupleAtATime the worker's per-tuple stream is
-// re-batched client-side so the merge path is identical in both modes.
-func (q *scanQuery) readSlot(slot scanSlot, push func([]tuple.Tuple) bool) error {
-	co := q.co
-	p, err := co.pool(slot.site)
+// decodeRows unpacks one MsgTupleBatch frame of a row scan.
+func (q *scanQuery) decodeRows(resp *wire.Msg) ([]tuple.Tuple, error) {
+	desc := q.spec.Desc
+	n, err := wire.CheckBatch(resp, desc.Width())
 	if err != nil {
-		return err
+		return nil, err
 	}
-	pred := q.pred
+	b := tuple.NewBatch(n)
+	if err := b.DecodeBatch(desc, resp.Raw); err != nil {
+		return nil, err
+	}
+	q.co.scanRows.Add(int64(n))
+	q.co.scanBatches.Inc()
+	return b.Rows(), nil
+}
+
+// slotRequest is the MsgScan that reads one slot: the query's predicate
+// narrowed to the slot's key range. The range is also declared
+// (KeyLo/KeyHi) so the worker's recovery gate checks only the segments
+// this slot actually reads — the slot may exist precisely because those
+// segments recovered ahead of their table.
+func (q *scanQuery) slotRequest(slot scanSlot) *wire.Msg {
 	m := &wire.Msg{
 		Type: wire.MsgScan, Txn: q.id, Table: q.table,
-		Vis: uint8(q.vis), TS: q.asOf, Pred: pred.Terms,
+		Vis: uint8(q.vis), TS: q.asOf, Pred: q.pred.Terms,
 	}
 	if slot.rng != expr.FullKeyRange() {
-		pred = pred.And(slot.rng.Pred(q.spec.Desc).Terms...)
-		m.Pred = pred.Terms
-		// Declare the touched key range so the worker's recovery gate checks
-		// only the segments this slot actually reads — the slot may exist
-		// precisely because those segments recovered ahead of their table.
+		m.Pred = q.pred.And(slot.rng.Pred(q.spec.Desc).Terms...).Terms
 		m.KeyLo, m.KeyHi = slot.rng.Lo, slot.rng.Hi
 	}
 	if q.locked {
 		m.Flags |= wire.FlagYes
 	}
-	if q.tupleAtATime {
-		m.Flags |= wire.FlagTupleAtATime
+	return m
+}
+
+// readSlot sends req to the slot's site and hands each frame of the reply
+// to each, which must be of type frame (row batches for ScanStream, partial
+// states for Aggregate), until MsgScanEnd. each reports false to abandon
+// the stream (the merge has gone away), which is not an error. After a
+// clean end a locked read releases its locks. The conn goes back to the
+// pool only when the exchange is known complete — a clean end, or a MsgErr
+// refusal in place of the first frame; any other exit closes it.
+func (q *scanQuery) readSlot(slot scanSlot, req *wire.Msg, frame wire.Type, each func(*wire.Msg) (bool, error)) error {
+	co := q.co
+	p, err := co.pool(slot.site)
+	if err != nil {
+		return err
 	}
 	// The send plus first receive is the borrowed conn's first exchange:
 	// a transport error there on a pooled conn retries once on a fresh
 	// dial (stale idle conn) before declaring the site down.
-	var first *wire.Msg
+	var resp *wire.Msg
 	conn, err := co.borrow(p, func(c *comm.Conn) error {
-		err := c.Send(m)
+		err := c.Send(req)
 		co.msgsSent.Add(1) // counted per attempted send (see Counters)
 		if err != nil {
 			return err
 		}
-		first, err = c.Recv()
+		resp, err = c.Recv()
 		return err
 	})
 	if err != nil {
 		co.MarkDown(slot.site)
 		return err
 	}
-	desc := q.spec.Desc
-	width := desc.Width()
-	var pending []tuple.Tuple // re-batched legacy per-tuple rows
-	flushPending := func() bool {
-		if len(pending) == 0 {
-			return true
-		}
-		rows := pending
-		pending = nil
-		return push(rows)
+	if resp.Type == wire.MsgErr {
+		p.Put(conn)
+		return resp.Err()
 	}
-	for resp := first; ; {
-		end := false
+	for resp.Type != wire.MsgScanEnd {
+		more := false
 		switch resp.Type {
+		case frame:
+			more, err = each(resp)
 		case wire.MsgErr:
-			p.Put(conn)
-			return resp.Err()
-		case wire.MsgScanEnd:
-			end = true
-		case wire.MsgTupleBatch:
-			n, err := wire.CheckBatch(resp, width)
-			if err != nil {
-				conn.Close()
-				return err
-			}
-			b := tuple.NewBatch(n)
-			if err := b.DecodeBatch(desc, resp.Raw); err != nil {
-				conn.Close()
-				return err
-			}
-			co.scanRows.Add(int64(n))
-			co.scanBatches.Inc()
-			if !push(b.Rows()) {
-				conn.Close() // merge abandoned; don't recycle mid-stream
-				return nil
-			}
-		case wire.MsgTuple:
-			pending = append(pending, wire.ToTuple(resp.Tuple))
-			co.scanRows.Inc()
-			if len(pending) >= wire.BatchTargetRows {
-				if !flushPending() {
-					conn.Close()
-					return nil
-				}
-			}
+			err = resp.Err()
 		default:
-			conn.Close()
-			return fmt.Errorf("coord: unexpected %v in scan stream", resp.Type)
+			err = fmt.Errorf("coord: unexpected %v in %v stream", resp.Type, frame)
 		}
-		if end {
-			break
+		if err != nil || !more {
+			conn.Close() // don't recycle mid-stream
+			return err
 		}
-		resp, err = conn.Recv()
-		if err != nil {
+		if resp, err = conn.Recv(); err != nil {
 			co.MarkDown(slot.site)
 			conn.Close()
 			return err
 		}
-	}
-	if !flushPending() {
-		conn.Close()
-		return nil
 	}
 	if q.locked {
 		// Release the read transaction's locks (§4.3: "for read

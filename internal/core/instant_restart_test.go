@@ -39,7 +39,7 @@ func drainRecoveryScan(t *testing.T, addr string, m *wire.Msg) *wire.Msg {
 		switch resp.Type {
 		case wire.MsgScanEnd, wire.MsgErr:
 			return resp
-		case wire.MsgTuple, wire.MsgTupleBatch:
+		case wire.MsgTupleBatch:
 			// drain
 		default:
 			t.Fatalf("unexpected %v in recovery stream", resp.Type)

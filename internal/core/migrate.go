@@ -52,7 +52,6 @@ func Migrate(site *worker.Site, cat *catalog.Catalog, spec MigrateSpec, opt Opti
 	}
 	r := newEngine(site, cat)
 	r.noPrune = opt.DisablePruning
-	r.tupleAtATime = opt.TupleAtATime
 
 	// The target may have never heard of the table (a cold joiner).
 	spec2, ok := cat.Table(spec.Table)

@@ -85,10 +85,6 @@ type Options struct {
 	// the segment architecture buys (compare Figure 6-5's linear-in-
 	// segments cost against scanning the whole table every time).
 	DisablePruning bool
-	// TupleAtATime requests legacy per-tuple framing on the remote recovery
-	// scans instead of batch frames — the ablation behind the batched-
-	// pipeline benchmark.
-	TupleAtATime bool
 	// RetryBackoff paces the §5.5.2 replan-retries: capped, jittered
 	// exponential sleeps between attempts so a flapping buddy doesn't turn
 	// the loop into a hot spin. Zero uses a sensible default; set Base < 0
@@ -183,7 +179,6 @@ func (r *engine) nextSeg(table int32, segs []worker.SegmentStatus, visited []boo
 func (r *Recoverer) RecoverSite(opt Options) (*SiteStats, error) {
 	opt = opt.withDefaults()
 	r.noPrune = opt.DisablePruning
-	r.tupleAtATime = opt.TupleAtATime
 	start := time.Now()
 	r.Site.PauseCheckpoints() // §5.2: disable scheduled checkpoints
 	defer r.Site.ResumeCheckpoints()
@@ -727,9 +722,6 @@ func (r *engine) copyWindow(tb *storage.Table, src catalog.RecoverySource,
 	if r.noPrune {
 		delMsg.Flags |= wire.FlagNoPrune
 	}
-	if r.tupleAtATime {
-		delMsg.Flags |= wire.FlagTupleAtATime
-	}
 	if historical {
 		// (implicit under historical semantics, stated explicitly in §5.3)
 		_ = hi
@@ -754,9 +746,6 @@ func (r *engine) copyWindow(tb *storage.Table, src catalog.RecoverySource,
 	if r.noPrune {
 		insMsg.Flags |= wire.FlagNoPrune
 	}
-	if r.tupleAtATime {
-		insMsg.Flags |= wire.FlagTupleAtATime
-	}
 	err = r.streamFrom(addr, insMsg, tb.Heap.Desc(), nil,
 		func(rows []tuple.Tuple) error {
 			nIns += len(rows)
@@ -766,9 +755,8 @@ func (r *engine) copyWindow(tb *storage.Table, src catalog.RecoverySource,
 	return durUpd, durIns, nDel, nIns, err
 }
 
-// streamFrom runs one remote recovery scan. Batch frames (the default) and
-// legacy per-tuple messages both land in the same batch-level callbacks:
-// onKeys for keys-only (tuple_id, deletion_time) projections, onRows for
+// streamFrom runs one remote recovery scan, handing each batch frame to
+// onKeys for keys-only (tuple_id, deletion_time) projections or onRows for
 // full tuples — which one applies follows the request's FlagYes. Errors are
 // classified: transport and malformed-frame failures wrap errBuddyFailed
 // (retryable with a different buddy), callback failures wrap errLocalApply
@@ -786,18 +774,6 @@ func (r *engine) streamFrom(addr string, req *wire.Msg, desc *tuple.Desc,
 	if err := c.Send(req); err != nil {
 		return fmt.Errorf("%w: %v", errBuddyFailed, err)
 	}
-	apply := func(keys []int64, dels []tuple.Timestamp, rows []tuple.Tuple) error {
-		var err error
-		if keysOnly {
-			err = onKeys(keys, dels)
-		} else {
-			err = onRows(rows)
-		}
-		if err != nil {
-			return fmt.Errorf("%w: %v", errLocalApply, err)
-		}
-		return nil
-	}
 	b := tuple.NewBatch(wire.BatchTargetRows)
 	for {
 		m, err := c.Recv()
@@ -809,43 +785,34 @@ func (r *engine) streamFrom(addr string, req *wire.Msg, desc *tuple.Desc,
 			return nil
 		case wire.MsgErr:
 			return m.Err()
-		case wire.MsgTuple: // legacy per-tuple framing (Options.TupleAtATime)
-			if keysOnly {
-				err = apply([]int64{m.Key}, []tuple.Timestamp{m.TS}, nil)
-			} else {
-				err = apply(nil, nil, []tuple.Tuple{wire.ToTuple(m.Tuple)})
-			}
-			if err != nil {
-				return err
-			}
-		case wire.MsgTupleBatch:
-			if keysOnly {
-				n, err := wire.CheckBatch(m, wire.KeysOnlyStride)
-				if err != nil {
-					return fmt.Errorf("%w: %v", errBuddyFailed, err)
-				}
-				keys := make([]int64, n)
-				dels := make([]tuple.Timestamp, n)
-				for i := 0; i < n; i++ {
-					keys[i], dels[i] = wire.KeyRow(m.Raw, i)
-				}
-				if err := apply(keys, dels, nil); err != nil {
-					return err
-				}
-			} else {
-				if _, err := wire.CheckBatch(m, desc.Width()); err != nil {
-					return fmt.Errorf("%w: %v", errBuddyFailed, err)
-				}
-				b.Reset()
-				if err := b.DecodeBatch(desc, m.Raw); err != nil {
-					return fmt.Errorf("%w: %v", errBuddyFailed, err)
-				}
-				if err := apply(nil, nil, b.Rows()); err != nil {
-					return err
-				}
-			}
+		case wire.MsgTupleBatch: // the only data frame, decoded below
 		default:
 			return fmt.Errorf("core: unexpected %v in recovery stream", m.Type)
+		}
+		if keysOnly {
+			n, err := wire.CheckBatch(m, wire.KeysOnlyStride)
+			if err != nil {
+				return fmt.Errorf("%w: %v", errBuddyFailed, err)
+			}
+			keys := make([]int64, n)
+			dels := make([]tuple.Timestamp, n)
+			for i := 0; i < n; i++ {
+				keys[i], dels[i] = wire.KeyRow(m.Raw, i)
+			}
+			if err := onKeys(keys, dels); err != nil {
+				return fmt.Errorf("%w: %v", errLocalApply, err)
+			}
+			continue
+		}
+		if _, err := wire.CheckBatch(m, desc.Width()); err != nil {
+			return fmt.Errorf("%w: %v", errBuddyFailed, err)
+		}
+		b.Reset()
+		if err := b.DecodeBatch(desc, m.Raw); err != nil {
+			return fmt.Errorf("%w: %v", errBuddyFailed, err)
+		}
+		if err := onRows(b.Rows()); err != nil {
+			return fmt.Errorf("%w: %v", errLocalApply, err)
 		}
 	}
 }

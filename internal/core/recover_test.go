@@ -549,31 +549,6 @@ func TestRecoveryPhaseDecomposition(t *testing.T) {
 	}
 }
 
-func TestRecoverTupleAtATimeAblation(t *testing.T) {
-	// The legacy per-tuple wire framing (the benchmark ablation) must
-	// produce the identical recovered replica.
-	cl := newCluster(t, 2)
-	for i := int64(1); i <= 40; i++ {
-		commitInsert(t, cl, 1, i, i)
-	}
-	for i := int64(1); i <= 5; i++ {
-		tx := cl.Coord.Begin()
-		if err := tx.DeleteKey(1, i); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cl.Workers[0].Crash()
-	stats := recover(t, cl, 0, core.Options{TupleAtATime: true})
-	obj := stats.Objects[0]
-	if obj.Phase2Inserts+obj.Phase3Inserts < 40 {
-		t.Fatalf("copied %d+%d inserts, want ≥ 40", obj.Phase2Inserts, obj.Phase3Inserts)
-	}
-	assertReplicasEqual(t, cl, 1)
-}
-
 func TestHistoricalQueriesSurviveRecovery(t *testing.T) {
 	// Time travel still works on the recovered replica.
 	cl := newCluster(t, 2)

@@ -135,21 +135,56 @@ func (r *Recoverer) repairTable(tb *storage.Table, rep catalog.Replica, capTS tu
 		}
 	}
 
-	// Reformat each bad page: drop its stale index entries (the keys cannot
-	// be read back, so this is a sweep by page id), then overwrite it with a
-	// freshly formatted empty image. WritePageData stamps a valid CRC and
-	// lifts the quarantine; concurrent readers from here on see an empty
-	// page instead of an error. The buffer pool cannot hold a frame for any
-	// of these pages — the read that would have populated one is exactly
-	// what failed.
+	// Drop the bad pages' stale index entries (the keys cannot be read back,
+	// so this is a sweep by page id). The index then knows exactly the
+	// versions that survive on healthy pages.
 	for _, pno := range pages {
-		pid := page.ID{Table: heap.TableID(), PageNo: pno}
-		tb.Index.DropPage(pid)
-		img := page.New(pid, heap.TupleWidth())
-		if err := heap.WritePageData(pno, img.Bytes()); err != nil {
-			return 0, fmt.Errorf("%w: reformat page %d: %v", errLocalApply, pno, err)
+		tb.Index.DropPage(page.ID{Table: heap.TableID(), PageNo: pno})
+	}
+
+	// A fetched version is missing exactly when no healthy page still holds
+	// it: each version is stored once per replica, so (key, insertion time)
+	// identifies it, and the index knows every survivor.
+	present := func(key int64, ins tuple.Timestamp) (bool, error) {
+		for _, rid := range tb.Index.Lookup(key) {
+			f, err := r.Site.Pool.GetPageNoLock(rid.Page)
+			if err != nil {
+				return false, err
+			}
+			f.Latch.Lock()
+			var got int64
+			var err2 error
+			if f.Page.Used(rid.Slot) {
+				got, err2 = f.Page.ReadInt64At(rid.Slot, insOff)
+			}
+			f.Latch.Unlock()
+			r.Site.Pool.Unpin(f, false, 0)
+			if err2 != nil {
+				return false, err2
+			}
+			if tuple.Timestamp(got) == ins {
+				return true, nil
+			}
 		}
-		r.Site.Store.MarkFreeSlot(heap.TableID(), pno)
+		return false, nil
+	}
+	var missing []tuple.Tuple
+	for _, t := range fetched {
+		ok, err := present(t.Key(desc), t.InsTS())
+		if err != nil {
+			return 0, err
+		}
+		if !ok {
+			missing = append(missing, t)
+		}
+	}
+
+	// Rewrite each bad page with the missing versions already in it (none
+	// on the empty-window and survivor paths): the write that lifts the
+	// quarantine must not expose an empty page to a concurrent scan, which
+	// would answer for the lost range with nothing instead of failing over.
+	if err := r.repairPlace(tb, pages, missing); err != nil {
+		return 0, err
 	}
 
 	if windowEmpty {
@@ -177,52 +212,6 @@ func (r *Recoverer) repairTable(tb *storage.Table, rep catalog.Replica, capTS tu
 		return len(pages), nil
 	}
 
-	// A fetched version is missing exactly when no healthy page still holds
-	// it: each version is stored once per replica, so (key, insertion time)
-	// identifies it, and the index — purged of the bad pages' rids above —
-	// knows every survivor.
-	present := func(key int64, ins tuple.Timestamp) (bool, error) {
-		for _, rid := range tb.Index.Lookup(key) {
-			f, err := r.Site.Pool.GetPageNoLock(rid.Page)
-			if err != nil {
-				return false, err
-			}
-			f.Latch.Lock()
-			var got int64
-			var err2 error
-			if f.Page.Used(rid.Slot) {
-				got, err2 = f.Page.ReadInt64At(rid.Slot, insOff)
-			}
-			f.Latch.Unlock()
-			r.Site.Pool.Unpin(f, false, 0)
-			if err2 != nil {
-				return false, err2
-			}
-			if tuple.Timestamp(got) == ins {
-				return true, nil
-			}
-		}
-		return false, nil
-	}
-
-	var missing []tuple.Tuple
-	for _, t := range fetched {
-		ok, err := present(t.Key(desc), t.InsTS())
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			missing = append(missing, t)
-		}
-	}
-
-	// Re-insert the missing versions, preferring the reformatted pages
-	// themselves (their segments' bounds already cover the window);
-	// localInsertBatch handles any overflow via fresh allocation and widens
-	// segment bounds conservatively either way.
-	if err := r.repairPlace(tb, pages, missing); err != nil {
-		return 0, err
-	}
 	if err := r.flushObject(tb); err != nil {
 		return 0, fmt.Errorf("%w: %v", errLocalApply, err)
 	}
@@ -275,26 +264,19 @@ func (r *Recoverer) fetchRepairWindow(rep catalog.Replica, desc *tuple.Desc, lo,
 	return fetched, hwm, nil
 }
 
-// repairPlace writes restored versions back into the reformatted pages,
-// spilling any overflow through the normal insert path.
+// repairPlace rewrites each quarantined target page as a fresh image holding
+// as many of rows as fit, in one WritePageData (which stamps a valid CRC and
+// lifts the quarantine), and spills any overflow through the normal insert
+// path. The buffer pool cannot hold a frame for any of these pages — the
+// read that would have populated one is exactly what failed.
 func (r *Recoverer) repairPlace(tb *storage.Table, targets []int32, rows []tuple.Tuple) error {
 	heap := tb.Heap
 	desc := heap.Desc()
 	i := 0
 	for _, pno := range targets {
-		if i >= len(rows) {
-			break
-		}
 		seg := heap.SegmentFor(pno)
-		if seg < 0 {
-			continue
-		}
 		pid := page.ID{Table: heap.TableID(), PageNo: pno}
-		f, err := r.Site.Pool.GetPageNoLock(pid)
-		if err != nil {
-			return fmt.Errorf("%w: %v", errLocalApply, err)
-		}
-		f.Latch.Lock()
+		img := page.New(pid, heap.TupleWidth())
 		type placedRow struct {
 			key  int64
 			slot int
@@ -302,17 +284,19 @@ func (r *Recoverer) repairPlace(tb *storage.Table, targets []int32, rows []tuple
 			del  tuple.Timestamp
 		}
 		var placed []placedRow
-		for i < len(rows) {
+		for seg >= 0 && i < len(rows) {
 			t := rows[i]
-			slot, err2 := f.Page.Insert(t.Encode(desc))
-			if err2 != nil {
+			slot, err := img.Insert(t.Encode(desc))
+			if err != nil {
 				break // page full; move to the next target
 			}
 			placed = append(placed, placedRow{t.Key(desc), slot, t.InsTS(), t.DelTS()})
 			i++
 		}
-		f.Latch.Unlock()
-		r.Site.Pool.Unpin(f, len(placed) > 0, 0)
+		if err := heap.WritePageData(pno, img.Bytes()); err != nil {
+			return fmt.Errorf("%w: reformat page %d: %v", errLocalApply, pno, err)
+		}
+		r.Site.Store.MarkFreeSlot(heap.TableID(), pno)
 		var minIns, maxIns, maxDel tuple.Timestamp
 		for _, p := range placed {
 			tb.Index.Add(p.key, page.RecordID{Page: pid, Slot: p.slot})

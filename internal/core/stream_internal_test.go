@@ -35,25 +35,32 @@ func fakeBuddy(t *testing.T, serve func(c *comm.Conn)) string {
 
 // A callback failure is the local replica's fault: it must surface as
 // errLocalApply — NOT errBuddyFailed, which would make RecoverSite replan
-// onto another buddy and fail the same way there.
+// onto another buddy and fail the same way there. Full-row and keys-only
+// streams classify alike.
 func TestStreamFromClassifiesLocalApplyErrors(t *testing.T) {
 	desc := streamDesc()
 	b := tuple.NewBatch(1)
 	b.Append(tuple.MustMake(desc, tuple.VInt(1), tuple.VInt(10)))
-	raw := b.EncodeTo(desc, nil)
-	addr := fakeBuddy(t, func(c *comm.Conn) {
-		_ = c.Send(&wire.Msg{Type: wire.MsgTupleBatch, Count: 1, Raw: raw})
-		_ = c.Send(&wire.Msg{Type: wire.MsgScanEnd, Count: 1})
-	})
-	boom := errors.New("page write failed")
-	err := (&Recoverer{}).streamFrom(addr,
-		&wire.Msg{Type: wire.MsgRecoveryScan, Table: 1, Flags: wire.FlagHasInsGT}, desc,
-		nil, func(rows []tuple.Tuple) error { return boom })
-	if !errors.Is(err, errLocalApply) {
-		t.Fatalf("apply failure not classified as errLocalApply: %v", err)
+	frames := []*wire.Msg{
+		{Type: wire.MsgTupleBatch, Count: 1, Raw: b.EncodeTo(desc, nil)},
+		{Type: wire.MsgTupleBatch, Count: 1, Flags: wire.FlagYes, Raw: wire.AppendKeyRow(nil, 7, 42)},
 	}
-	if errors.Is(err, errBuddyFailed) {
-		t.Fatalf("apply failure misclassified as buddy failure: %v", err)
+	boom := errors.New("page write failed")
+	for _, frame := range frames {
+		addr := fakeBuddy(t, func(c *comm.Conn) {
+			_ = c.Send(frame)
+			_ = c.Send(&wire.Msg{Type: wire.MsgScanEnd, Count: 1})
+		})
+		err := (&Recoverer{}).streamFrom(addr,
+			&wire.Msg{Type: wire.MsgRecoveryScan, Table: 1, Flags: frame.Flags}, desc,
+			func([]int64, []tuple.Timestamp) error { return boom },
+			func([]tuple.Tuple) error { return boom })
+		if !errors.Is(err, errLocalApply) {
+			t.Fatalf("apply failure (frame flags %d) not classified as errLocalApply: %v", frame.Flags, err)
+		}
+		if errors.Is(err, errBuddyFailed) {
+			t.Fatalf("apply failure (frame flags %d) misclassified as buddy failure: %v", frame.Flags, err)
+		}
 	}
 }
 
@@ -116,29 +123,5 @@ func TestStreamFromPassesRemoteErrorsUnwrapped(t *testing.T) {
 	}
 	if errors.Is(err, errBuddyFailed) || errors.Is(err, errLocalApply) {
 		t.Fatalf("remote error wrongly wrapped: %v", err)
-	}
-}
-
-// Legacy per-tuple framing (Options.TupleAtATime) lands in the same
-// batch-level callbacks as 1-row slices, with the same classification.
-func TestStreamFromHandlesLegacyPerTupleFraming(t *testing.T) {
-	addr := fakeBuddy(t, func(c *comm.Conn) {
-		_ = c.Send(&wire.Msg{Type: wire.MsgTuple, Key: 3, TS: 9})
-		_ = c.Send(&wire.Msg{Type: wire.MsgTuple, Key: 4, TS: 11})
-		_ = c.Send(&wire.Msg{Type: wire.MsgScanEnd, Count: 2})
-	})
-	var gotKeys []int64
-	err := (&Recoverer{}).streamFrom(addr,
-		&wire.Msg{Type: wire.MsgRecoveryScan, Table: 1,
-			Flags: wire.FlagYes | wire.FlagTupleAtATime}, streamDesc(),
-		func(keys []int64, dels []tuple.Timestamp) error {
-			gotKeys = append(gotKeys, keys...)
-			return nil
-		}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotKeys) != 2 || gotKeys[0] != 3 || gotKeys[1] != 4 {
-		t.Fatalf("legacy stream keys: %v", gotKeys)
 	}
 }

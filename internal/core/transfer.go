@@ -33,9 +33,8 @@ type engine struct {
 	Cat  *catalog.Catalog
 
 	ids *txn.IDSource
-	// noPrune and tupleAtATime mirror the Options for the remote scans.
-	noPrune      bool
-	tupleAtATime bool
+	// noPrune mirrors Options.DisablePruning for the remote scans.
+	noPrune bool
 
 	// hotRanges records, per table, the key ranges refused reads faulted in
 	// (fed by the site's fault-in hook). Phase 2 copies the segments those

@@ -27,7 +27,7 @@ func drainBatched(t *testing.T, op BatchOperator) []tuple.Tuple {
 	return out
 }
 
-func TestBatchPipelineMatchesTupleAtATime(t *testing.T) {
+func TestBatchPipelineMatchesRowPipeline(t *testing.T) {
 	st := newSite(t)
 	ts := tuple.Timestamp(1)
 	// Enough rows to span several 256-row batches and several segments.

@@ -30,7 +30,6 @@ const (
 	MsgOK Type = iota + 1
 	MsgErr
 	MsgVote    // Flags&1 = YES
-	MsgTuple   // one streamed tuple
 	MsgScanEnd // end of tuple stream; Count = rows sent
 
 	// --- worker requests: transactions and data ---
@@ -126,8 +125,8 @@ const (
 )
 
 var typeNames = map[Type]string{
-	MsgOK: "OK", MsgErr: "ERR", MsgVote: "VOTE", MsgTuple: "TUPLE",
-	MsgScanEnd: "SCAN-END", MsgBegin: "BEGIN", MsgCreateTable: "CREATE-TABLE",
+	MsgOK: "OK", MsgErr: "ERR", MsgVote: "VOTE", MsgScanEnd: "SCAN-END",
+	MsgBegin: "BEGIN", MsgCreateTable: "CREATE-TABLE",
 	MsgInsert: "INSERT", MsgDeleteKey: "DELETE-KEY", MsgUpdateKey: "UPDATE-KEY",
 	MsgSimWork: "SIM-WORK", MsgScan: "SCAN", MsgEndRead: "END-READ",
 	MsgPrepare: "PREPARE", MsgPrepareToCommit: "PREPARE-TO-COMMIT",
@@ -175,11 +174,6 @@ const (
 	// is online. No commit can postdate its eviction, so its local state
 	// is complete and recovery may rejoin it from its own data.
 	FlagSurvivor
-	// FlagTupleAtATime on a SCAN or RECOVERY-SCAN request asks the worker
-	// for the legacy per-tuple framing (one MsgTuple per row) instead of
-	// MsgTupleBatch frames. Batched is the default; the flag exists for the
-	// equivalence tests and the bench baseline.
-	FlagTupleAtATime
 )
 
 // Msg is the wire message union.
@@ -208,8 +202,7 @@ type Msg struct {
 	// A non-empty Aggs list turns the scan into a partial aggregation:
 	// the worker groups by input field AggGroup (-1 = one global group),
 	// computes one partial state column per AggCol, and streams MsgAggBatch
-	// frames instead of rows. Every flag bit is taken, so presence is
-	// signalled by len(Aggs) > 0.
+	// frames instead of rows. Presence is signalled by len(Aggs) > 0.
 	AggGroup int32
 	Aggs     []AggCol
 

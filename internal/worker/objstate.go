@@ -109,8 +109,7 @@ type SegmentStatus struct {
 // per-object checkpoint file (recoverObject re-reads it) — but persisting
 // states lets a restarted incarnation report progress per object and seed
 // recovery priority. One line per segment:
-// "<table> <lo> <hi> <state> <copiedThrough>". Legacy whole-object lines
-// ("<table> <state> <copiedThrough>") parse as a single full-range segment.
+// "<table> <lo> <hi> <state> <copiedThrough>".
 const objStateFile = "recovery_state"
 
 // fullSeg returns the degenerate whole-object segment.
@@ -161,25 +160,14 @@ func (s *Site) readObjStateFile() map[int32]objStatus {
 	}
 	for _, line := range strings.Split(string(data), "\n") {
 		fields := strings.Fields(line)
-		var table, ct, lo, hi int64
-		var st uint64
-		var err1, err2, err3, err4, err5 error
-		switch len(fields) {
-		case 3: // legacy whole-object line
-			table, err1 = strconv.ParseInt(fields[0], 10, 32)
-			st, err2 = strconv.ParseUint(fields[1], 10, 8)
-			ct, err3 = strconv.ParseInt(fields[2], 10, 64)
-			full := expr.FullKeyRange()
-			lo, hi = full.Lo, full.Hi
-		case 5:
-			table, err1 = strconv.ParseInt(fields[0], 10, 32)
-			lo, err2 = strconv.ParseInt(fields[1], 10, 64)
-			hi, err3 = strconv.ParseInt(fields[2], 10, 64)
-			st, err4 = strconv.ParseUint(fields[3], 10, 8)
-			ct, err5 = strconv.ParseInt(fields[4], 10, 64)
-		default:
+		if len(fields) != 5 {
 			continue
 		}
+		table, err1 := strconv.ParseInt(fields[0], 10, 32)
+		lo, err2 := strconv.ParseInt(fields[1], 10, 64)
+		hi, err3 := strconv.ParseInt(fields[2], 10, 64)
+		st, err4 := strconv.ParseUint(fields[3], 10, 8)
+		ct, err5 := strconv.ParseInt(fields[4], 10, 64)
 		if err1 != nil || err2 != nil || err3 != nil || err4 != nil || err5 != nil {
 			continue
 		}

@@ -37,31 +37,29 @@ func TestReadObjStateFileTolerance(t *testing.T) {
 			}},
 		},
 		{
-			name:    "legacy whole-object line becomes one full-range segment",
+			name:    "3-field line is skipped",
 			content: "3 4 99\n",
-			want: map[int32][]segStatus{3: {
-				{rng: full, state: ObjCatchup, copiedThrough: 99},
-			}},
+			want:    map[int32][]segStatus{},
 		},
 		{
 			name:    "truncated and over-long lines skipped",
-			content: "1 5\n1 0 100 5\n1 0 100 5 7 9 11\n2 5 10\n",
+			content: "1 5\n1 0 100 5\n1 0 100 5 7 9 11\n2 0 100 5 10\n",
 			want: map[int32][]segStatus{2: {
-				{rng: full, state: ObjReady, copiedThrough: 10},
+				{rng: expr.KeyRange{Lo: 0, Hi: 100}, state: ObjReady, copiedThrough: 10},
 			}},
 		},
 		{
 			name:    "non-numeric fields skipped",
-			content: "one 5 10\n1 five 10\n1 0 100 cinq 10\n1 0 100 5 dix\n1 2 3\n",
+			content: "one 0 100 5 10\n1 zero 100 5 10\n1 0 cent 5 10\n1 0 100 cinq 10\n1 0 100 5 dix\n1 0 100 2 3\n",
 			want: map[int32][]segStatus{1: {
-				{rng: full, state: ObjScrubbing, copiedThrough: 3},
+				{rng: expr.KeyRange{Lo: 0, Hi: 100}, state: ObjScrubbing, copiedThrough: 3},
 			}},
 		},
 		{
 			name:    "unknown state codes skipped",
-			content: "1 0 0\n1 6 0\n1 99 0\n1 0 100 0 0\n1 0 100 6 0\n1 5 0\n",
+			content: "1 0 100 0 0\n1 0 100 6 0\n1 0 100 99 0\n1 0 100 5 0\n",
 			want: map[int32][]segStatus{1: {
-				{rng: full, state: ObjReady, copiedThrough: 0},
+				{rng: expr.KeyRange{Lo: 0, Hi: 100}, state: ObjReady, copiedThrough: 0},
 			}},
 		},
 		{

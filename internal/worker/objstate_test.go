@@ -27,7 +27,7 @@ func recvTerminal(t *testing.T, c *comm.Conn) *wire.Msg {
 		switch m.Type {
 		case wire.MsgScanEnd, wire.MsgErr:
 			return m
-		case wire.MsgTuple, wire.MsgTupleBatch:
+		case wire.MsgTupleBatch:
 			// drain
 		default:
 			t.Fatalf("unexpected %v in stream", m.Type)

@@ -2,6 +2,7 @@ package worker_test
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"harbor/internal/comm"
@@ -26,13 +27,20 @@ func dialWorker(t *testing.T, cl *testutil.Cluster, i int) *comm.Conn {
 	return c
 }
 
-// drainScan collects a tuple stream after a scan request was sent. Batch
-// frames (the default) are unpacked into one synthetic per-row message
-// each, so assertions see the same shape in both framings.
-func drainScan(t *testing.T, c *comm.Conn) []*wire.Msg {
+// scanRow is one row of a drained stream: the (key, deletion time) pair
+// of a keys-only frame, or the full values of a row frame.
+type scanRow struct {
+	key  int64
+	del  tuple.Timestamp
+	vals []tuple.Value
+}
+
+// drainScan collects a tuple stream after a scan request was sent,
+// unpacking each batch frame into its rows.
+func drainScan(t *testing.T, c *comm.Conn) []scanRow {
 	t.Helper()
 	desc := testDesc()
-	var out []*wire.Msg
+	var out []scanRow
 	for {
 		m, err := c.Recv()
 		if err != nil {
@@ -46,8 +54,6 @@ func drainScan(t *testing.T, c *comm.Conn) []*wire.Msg {
 			return out
 		case wire.MsgErr:
 			t.Fatalf("scan error: %s", m.Text)
-		case wire.MsgTuple:
-			out = append(out, m)
 		case wire.MsgTupleBatch:
 			if m.Flags&wire.FlagYes != 0 {
 				n, err := wire.CheckBatch(m, wire.KeysOnlyStride)
@@ -56,7 +62,7 @@ func drainScan(t *testing.T, c *comm.Conn) []*wire.Msg {
 				}
 				for i := 0; i < n; i++ {
 					k, d := wire.KeyRow(m.Raw, i)
-					out = append(out, &wire.Msg{Type: wire.MsgTuple, Key: k, TS: d})
+					out = append(out, scanRow{key: k, del: d})
 				}
 			} else {
 				n, err := wire.CheckBatch(m, desc.Width())
@@ -68,7 +74,7 @@ func drainScan(t *testing.T, c *comm.Conn) []*wire.Msg {
 					t.Fatal(err)
 				}
 				for _, tp := range b.Rows() {
-					out = append(out, &wire.Msg{Type: wire.MsgTuple, Tuple: wire.TupleValues(tp)})
+					out = append(out, scanRow{vals: tp.Values})
 				}
 			}
 		default:
@@ -106,7 +112,7 @@ func TestWireScanModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := drainScan(t, c)
-	if len(rows) != 1 || rows[0].Tuple[2].I64 != 2 {
+	if len(rows) != 1 || rows[0].vals[2].I64 != 2 {
 		t.Fatalf("current scan: %v", rows)
 	}
 	// Historical scan as of ts1: only key 1, deletion masked.
@@ -114,11 +120,11 @@ func TestWireScanModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows = drainScan(t, c)
-	if len(rows) != 1 || rows[0].Tuple[2].I64 != 1 {
+	if len(rows) != 1 || rows[0].vals[2].I64 != 1 {
 		t.Fatalf("historical scan: %v", rows)
 	}
-	if rows[0].Tuple[tuple.FieldDelTS].I64 != 0 {
-		t.Fatalf("historical scan leaked deletion time: %v", rows[0].Tuple)
+	if rows[0].vals[tuple.FieldDelTS].I64 != 0 {
+		t.Fatalf("historical scan leaked deletion time: %v", rows[0].vals)
 	}
 	// See-deleted: both versions.
 	if err := c.Send(&wire.Msg{Type: wire.MsgScan, Txn: 900, Table: 1, Vis: uint8(exec.SeeDeleted)}); err != nil {
@@ -133,7 +139,7 @@ func TestWireScanModes(t *testing.T) {
 	if err := c.Send(&wire.Msg{Type: wire.MsgScan, Txn: 900, Table: 1, Vis: uint8(exec.SeeDeleted), Pred: pred.Terms}); err != nil {
 		t.Fatal(err)
 	}
-	if rows = drainScan(t, c); len(rows) != 1 || rows[0].Tuple[2].I64 != 2 {
+	if rows = drainScan(t, c); len(rows) != 1 || rows[0].vals[2].I64 != 2 {
 		t.Fatalf("filtered scan: %v", rows)
 	}
 	// Release the read transaction.
@@ -205,7 +211,7 @@ func TestWireRecoveryScanKeyRange(t *testing.T) {
 		t.Fatalf("key-range recovery scan: %d rows, want 4", len(rows))
 	}
 	for _, r := range rows {
-		key := r.Tuple[2].I64
+		key := r.vals[2].I64
 		if key < 3 || key >= 7 {
 			t.Fatalf("key %d outside recovery predicate", key)
 		}
@@ -214,8 +220,9 @@ func TestWireRecoveryScanKeyRange(t *testing.T) {
 
 // TestWireScanFramingEquivalence: for every stream shape a worker serves —
 // SEE DELETED client scans, keys-only recovery projections, full-row
-// recovery scans — the batched framing must carry exactly the per-row
-// content and order of the legacy per-tuple framing.
+// recovery scans — the batch frames must carry exactly the rows, in the
+// order, of an in-process SeqScan over the worker's own store with the
+// same spec (a client scan's stream is sorted by key).
 func TestWireScanFramingEquivalence(t *testing.T) {
 	cl := newCluster(t, txn.OptThreePC, worker.HARBOR, 1)
 	for i := int64(1); i <= 30; i++ {
@@ -236,42 +243,59 @@ func TestWireScanFramingEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	desc := testDesc()
+	recRange := expr.KeyRange{Lo: -1 << 62, Hi: 1 << 62}.Pred(desc)
 	c := dialWorker(t, cl, 0)
 	cases := []struct {
-		label string
-		req   wire.Msg
+		label    string
+		req      wire.Msg
+		spec     exec.ScanSpec
+		keysOnly bool
 	}{
-		{"see-deleted", wire.Msg{Type: wire.MsgScan, Txn: 901, Table: 1, Vis: uint8(exec.SeeDeleted)}},
+		{"see-deleted", wire.Msg{Type: wire.MsgScan, Txn: 901, Table: 1, Vis: uint8(exec.SeeDeleted)},
+			exec.ScanSpec{Table: 1, Vis: exec.SeeDeleted}, false},
 		{"keys-only", wire.Msg{Type: wire.MsgRecoveryScan, Table: 1,
 			KeyLo: -1 << 62, KeyHi: 1 << 62,
-			Flags: wire.FlagYes | wire.FlagHasDelGT, DelGT: 0}},
+			Flags: wire.FlagYes | wire.FlagHasDelGT, DelGT: 0},
+			exec.ScanSpec{Table: 1, Vis: exec.SeeDeleted, Pred: recRange.And(
+				expr.Term{Field: tuple.FieldDelTS, Op: expr.GT, Value: tuple.VInt(0)})}, true},
 		{"full-rows", wire.Msg{Type: wire.MsgRecoveryScan, Table: 1,
 			KeyLo: -1 << 62, KeyHi: 1 << 62,
-			Flags: wire.FlagHasInsGT, InsGT: 0}},
+			Flags: wire.FlagHasInsGT, InsGT: 0},
+			exec.ScanSpec{Table: 1, Vis: exec.SeeDeleted, Pred: recRange.And(
+				expr.Term{Field: tuple.FieldInsTS, Op: expr.GT, Value: tuple.VInt(0)},
+				expr.Term{Field: tuple.FieldInsTS, Op: expr.NE, Value: tuple.VInt(tuple.Uncommitted)})}, false},
 	}
 	for _, tc := range cases {
-		batchedReq := tc.req
-		if err := c.Send(&batchedReq); err != nil {
+		req := tc.req
+		if err := c.Send(&req); err != nil {
 			t.Fatal(err)
 		}
-		batched := drainScan(t, c)
-		legacyReq := tc.req
-		legacyReq.Flags |= wire.FlagTupleAtATime
-		if err := c.Send(&legacyReq); err != nil {
+		got := drainScan(t, c)
+		rows, err := exec.Drain(exec.NewSeqScan(cl.Workers[0].Store, tc.spec))
+		if err != nil {
 			t.Fatal(err)
 		}
-		legacy := drainScan(t, c)
-		if len(batched) == 0 {
+		if tc.req.Type == wire.MsgScan {
+			sort.SliceStable(rows, func(i, j int) bool { return rows[i].Key(desc) < rows[j].Key(desc) })
+		}
+		want := make([]scanRow, len(rows))
+		for i, r := range rows {
+			if tc.keysOnly {
+				want[i] = scanRow{key: r.Key(desc), del: r.DelTS()}
+			} else {
+				want[i] = scanRow{vals: r.Values}
+			}
+		}
+		if len(want) == 0 {
 			t.Fatalf("%s: empty stream; case is vacuous", tc.label)
 		}
-		if len(batched) != len(legacy) {
-			t.Fatalf("%s: batched %d rows, tuple-at-a-time %d", tc.label, len(batched), len(legacy))
+		if len(got) != len(want) {
+			t.Fatalf("%s: streamed %d rows, in-process scan %d", tc.label, len(got), len(want))
 		}
-		for i := range batched {
-			b, l := batched[i], legacy[i]
-			if b.Key != l.Key || b.TS != l.TS || !reflect.DeepEqual(b.Tuple, l.Tuple) {
-				t.Fatalf("%s: row %d differs: batched {key=%d ts=%d %v}, legacy {key=%d ts=%d %v}",
-					tc.label, i, b.Key, b.TS, b.Tuple, l.Key, l.TS, l.Tuple)
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%s: row %d differs: streamed %+v, in-process %+v", tc.label, i, got[i], want[i])
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"harbor/internal/comm"
@@ -609,8 +610,7 @@ func (f *frameStream) end() error {
 }
 
 // streamScan executes a normal scan and streams the results in ascending
-// key order (stable for duplicate keys), as MsgTupleBatch frames by default
-// or one MsgTuple per row when the client set FlagTupleAtATime. The sort
+// key order (stable for duplicate keys), as MsgTupleBatch frames. The sort
 // gives the coordinator deterministic per-site streams to merge and a
 // resume point (the last emitted key) for mid-stream failover.
 func (s *Site) streamScan(c *comm.Conn, m *wire.Msg) error {
@@ -632,18 +632,6 @@ func (s *Site) streamScan(c *comm.Conn, m *wire.Msg) error {
 	}
 	desc := scan.Desc()
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].Key(desc) < rows[j].Key(desc) })
-	if m.Flags&wire.FlagTupleAtATime != 0 {
-		for _, t := range rows {
-			if err := c.SendNoFlush(&wire.Msg{Type: wire.MsgTuple, Tuple: wire.TupleValues(t)}); err != nil {
-				return err
-			}
-		}
-		s.scanRows.Add(int64(len(rows)))
-		if err := c.SendNoFlush(&wire.Msg{Type: wire.MsgScanEnd, Count: int64(len(rows))}); err != nil {
-			return err
-		}
-		return c.Flush()
-	}
 	fs := s.newFrameStream(c, desc, false)
 	for _, t := range rows {
 		if err := fs.add(t); err != nil {
@@ -793,33 +781,6 @@ func (s *Site) streamRecoveryScan(c *comm.Conn, m *wire.Msg) error {
 		return err
 	}
 	defer scan.Close()
-	if m.Flags&wire.FlagTupleAtATime != 0 {
-		count := int64(0)
-		for {
-			t, ok, err := scan.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			var out *wire.Msg
-			if keysOnly {
-				out = &wire.Msg{Type: wire.MsgTuple, Key: t.Key(desc), TS: t.DelTS()}
-			} else {
-				out = &wire.Msg{Type: wire.MsgTuple, Tuple: wire.TupleValues(t)}
-			}
-			if err := c.SendNoFlush(out); err != nil {
-				return err
-			}
-			count++
-		}
-		s.scanRows.Add(count)
-		if err := c.SendNoFlush(&wire.Msg{Type: wire.MsgScanEnd, Count: count}); err != nil {
-			return err
-		}
-		return c.Flush()
-	}
 	fs := s.newFrameStream(c, desc, keysOnly)
 	b := tuple.NewBatch(exec.DefaultBatchRows)
 	for {
@@ -838,8 +799,9 @@ func (s *Site) streamRecoveryScan(c *comm.Conn, m *wire.Msg) error {
 	return fs.end()
 }
 
-// simWorkSink defeats dead-code elimination of the simulated CPU loop.
-var simWorkSink int64
+// simWorkSink defeats dead-code elimination of the simulated CPU loop. It
+// is atomic because every connection goroutine publishes into it.
+var simWorkSink atomic.Int64
 
 // simulateWork spins for the given number of loop iterations, standing in
 // for ETL processing, compression, materialized-view maintenance, or other
@@ -849,5 +811,5 @@ func simulateWork(cycles int64) {
 	for i := int64(0); i < cycles; i++ {
 		acc += i ^ (acc << 1)
 	}
-	simWorkSink = acc
+	simWorkSink.Store(acc)
 }
