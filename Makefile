@@ -13,11 +13,11 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Race-detector pass over the packages with coordinator/network concurrency.
+# Race-detector pass over every package.
 race:
-	$(GO) test -race -count=1 ./internal/coord/ ./internal/comm/ ./internal/faultnet/ ./internal/chaos/ ./internal/worker/ ./internal/core/
+	$(GO) test -race -count=1 ./...
 
-# The CI gate: vet + race on the concurrent packages, then the full suite.
+# The CI gate: vet + race over every package, then the full suite.
 check: vet race test
 
 # Seeded chaos sweep: every scenario under CHAOS_ITERS consecutive seeds

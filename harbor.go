@@ -43,6 +43,7 @@ import (
 	"harbor/internal/coord"
 	"harbor/internal/core"
 	"harbor/internal/expr"
+	"harbor/internal/page"
 	"harbor/internal/tuple"
 	"harbor/internal/txn"
 	"harbor/internal/worker"
@@ -386,6 +387,13 @@ func (c *Cluster) DropOldestSegment(table int32) error {
 		tb, err := w.Mgr.Get(table)
 		if err != nil {
 			return err
+		}
+		// A victim page must have no frame left when its emptied image is
+		// freed: the page's next owner would be handed the old rows, and
+		// rebuildIndexes' flush would write a dirty frame back over it.
+		for _, p := range tb.Heap.SegmentPages(0) {
+			w.Pool.Discard(page.ID{Table: table, PageNo: p})
+			w.Store.ClearFreeSlot(table, p)
 		}
 		if err := tb.Heap.DropOldestSegment(); err != nil {
 			return err

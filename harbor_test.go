@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"harbor"
+	"harbor/internal/exec"
 )
 
 func startCluster(t *testing.T, opts harbor.Options) *harbor.Cluster {
@@ -431,4 +432,93 @@ func TestPublicAPIBulkLoadKeepsUnflushedRowsReachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	find("after drop", 7000)
+}
+
+// dropReusePrologue bulk-loads two 100-row segments (keys 0..99, then
+// 1000..1099) into a two-worker cluster, reads them (so the first
+// segment's pages are resident in the buffer pools), and drops the oldest,
+// so those pages return to the heap's free list.
+func dropReusePrologue(t *testing.T) *harbor.Cluster {
+	t.Helper()
+	c := startCluster(t, harbor.Options{Workers: 2, SegPages: 8, CheckpointEvery: time.Hour})
+	if err := c.CreateTable(1, productSchema); err != nil {
+		t.Fatal(err)
+	}
+	for _, base := range []int64{0, 1000} {
+		rows := make([]harbor.Tuple, 100)
+		for i := range rows {
+			rows[i] = harbor.Row(productSchema, harbor.Int(base+int64(i)), harbor.Str("bulk"), harbor.Int(1))
+		}
+		if _, err := c.BulkLoad(1, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rows, err := c.Query(1, harbor.Query{}); err != nil || len(rows) != 200 {
+		t.Fatalf("rows after bulk loads = %d, %v", len(rows), err)
+	}
+	if err := c.DropOldestSegment(1); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// commitRows inserts keys [lo, hi), one transaction per row.
+func commitRows(t *testing.T, c *harbor.Cluster, lo, hi int64) {
+	t.Helper()
+	for k := lo; k < hi; k++ {
+		tx := c.Begin()
+		if err := tx.Insert(1, harbor.Row(productSchema, harbor.Int(k), harbor.Str("txn"), harbor.Int(2))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDroppedSegmentPagesReuseEmpty: a page DropOldestSegment frees is
+// handed out again by later inserts, and must come back empty — not with
+// the dropped segment's committed rows, which would reappear in every scan.
+func TestDroppedSegmentPagesReuseEmpty(t *testing.T) {
+	c := dropReusePrologue(t)
+	commitRows(t, c, 5000, 5300)
+	rows, err := c.Query(1, harbor.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 400 {
+		t.Fatalf("rows after drop and 300 inserts = %d, want 400", len(rows))
+	}
+}
+
+// TestDroppedSegmentPagesReuseEmptyAfterCrash: the crash variant. Worker 1
+// restarts over its files and recovery copies the rows it missed into
+// reused pages; served alone, it must hold exactly the live rows, each key
+// once.
+func TestDroppedSegmentPagesReuseEmptyAfterCrash(t *testing.T) {
+	c := dropReusePrologue(t)
+	c.CrashWorker(1)
+	commitRows(t, c, 5000, 5050)
+	if _, err := c.RecoverWorker(1); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := exec.Drain(exec.NewSeqScan(c.Worker(1).Store, exec.ScanSpec{Table: 1, Vis: exec.Current}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[int64]bool, len(rows))
+	dups, dead := 0, 0
+	for _, r := range rows {
+		k := r.Key(productSchema)
+		if seen[k] {
+			dups++
+		}
+		seen[k] = true
+		if !(k >= 1000 && k < 1100 || k >= 5000 && k < 5050) {
+			dead++
+		}
+	}
+	if len(rows) != 150 || dups != 0 || dead != 0 {
+		t.Fatalf("worker 1 serves %d rows (%d duplicated keys, %d rows of dropped keys), want the 150 live rows", len(rows), dups, dead)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"harbor/internal/coord"
 	"harbor/internal/exec"
 	"harbor/internal/expr"
+	"harbor/internal/testutil"
 	"harbor/internal/tuple"
 	"harbor/internal/txn"
 	"harbor/internal/worker"
@@ -33,23 +34,8 @@ func aggPlans() map[string]exec.AggPlan {
 	}
 }
 
-// localAgg is the single-site reference: one HashAgg over the already
-// merged scan rows.
-func localAgg(t *testing.T, rows []tuple.Tuple, plan exec.AggPlan) []tuple.Tuple {
-	t.Helper()
-	out, err := exec.Drain(&exec.HashAgg{
-		Child:      &exec.SliceScan{Schema: testDesc(), Rows: rows},
-		GroupField: plan.GroupField,
-		Aggs:       plan.Aggs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
 // TestAggregateEquivalence: pushed-down aggregation must be byte-identical
-// to a single-site HashAgg over the merged scan — and to the NoPushdown
+// to a reference aggregate over the merged scan — and to the NoPushdown
 // ablation — across replicated/partitioned × current/historical ×
 // predicate/no-predicate × grouped/global shapes.
 func TestAggregateEquivalence(t *testing.T) {
@@ -97,7 +83,7 @@ func TestAggregateEquivalence(t *testing.T) {
 		}
 		for name, plan := range aggPlans() {
 			label := tc.label + "/" + name
-			want := localAgg(t, rows, plan)
+			want := testutil.RefAggregate(rows, plan)
 			got, err := cl.Coord.Aggregate(tc.table, tc.opt, plan)
 			if err != nil {
 				t.Fatalf("%s: pushdown aggregate: %v", label, err)

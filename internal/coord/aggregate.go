@@ -4,8 +4,8 @@
 // its rows into per-group partial states (exec.GroupTable) and streams back
 // O(groups) MsgAggBatch frames; the coordinator merges the states — an
 // associative, commutative fold — and finalises in ascending group-key
-// order, so the answer is byte-identical to one HashAgg over the merged
-// scan no matter how slots, sites, or failovers interleaved.
+// order, so the answer is byte-identical to aggregating the merged scan on
+// one site, no matter how slots, sites, or failovers interleaved.
 //
 // Failover re-merge rule: a slot's partial states are buffered in a
 // slot-local table and merged into the query result only when that slot's

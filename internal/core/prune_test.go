@@ -71,7 +71,7 @@ func sameRows(a, b []tuple.Tuple) bool {
 // requirePrunedMatchesFiltered runs rounds random key predicates against
 // table and requires every pruned ScanStream to equal — same rows, same
 // order — the unpredicated scan filtered here, and every pruned Aggregate to
-// equal a local HashAgg over those rows.
+// equal a reference aggregate over those rows.
 func requirePrunedMatchesFiltered(t *testing.T, cl *testutil.Cluster, label string, table int32,
 	opt coord.QueryOptions, rng *rand.Rand, n int64, seams []int64, rounds int) {
 	t.Helper()
@@ -102,11 +102,7 @@ func requirePrunedMatchesFiltered(t *testing.T, cl *testutil.Cluster, label stri
 		if !sameRows(got, want) {
 			t.Fatalf("%s: scan %v returned %d rows, filtered full scan %d", label, opt.Pred, len(got), len(want))
 		}
-		wantAgg, err := exec.Drain(&exec.HashAgg{Child: &exec.SliceScan{Schema: desc, Rows: want},
-			GroupField: plan.GroupField, Aggs: plan.Aggs})
-		if err != nil {
-			t.Fatal(err)
-		}
+		wantAgg := testutil.RefAggregate(want, plan)
 		gotAgg, err := cl.Coord.Aggregate(table, opt, plan)
 		if err != nil {
 			t.Fatalf("%s: aggregate %v: %v", label, opt.Pred, err)

@@ -115,7 +115,7 @@ func (p AggPlan) Finalize(state []int64, dst []tuple.Value) []tuple.Value {
 
 // Rows finalises every group of gt (accumulated under this plan's partial
 // layout) in ascending group-key order — the deterministic output order
-// shared by the local HashAgg and the coordinator merge.
+// of every aggregate answer the coordinator returns.
 func (p AggPlan) Rows(gt *GroupTable) []tuple.Tuple {
 	keys := gt.SortedKeys()
 	out := make([]tuple.Tuple, 0, len(keys))

@@ -3,15 +3,15 @@ package exec
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"harbor/internal/tuple"
 )
 
-func TestHashAggSchemaNames(t *testing.T) {
+func TestAggPlanOutDescNames(t *testing.T) {
 	desc := testDesc()
-	agg := &HashAgg{
-		Child:      &SliceScan{Schema: desc, Rows: []tuple.Tuple{mk(1, 10)}},
+	plan := AggPlan{
 		GroupField: desc.FieldIndex("v"),
 		Aggs: []AggSpec{
 			{Fn: Count},
@@ -21,13 +21,10 @@ func TestHashAggSchemaNames(t *testing.T) {
 			{Fn: Avg, Field: desc.FieldIndex("id")},
 		},
 	}
-	if err := agg.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer agg.Close()
 	want := []string{"v", "count(*)", "sum(id)", "min(id)", "max(id)", "avg(id)"}
-	got := make([]string, len(agg.Desc().Fields))
-	for i, f := range agg.Desc().Fields {
+	out := plan.OutDesc(desc)
+	got := make([]string, len(out.Fields))
+	for i, f := range out.Fields {
 		got[i] = f.Name
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -35,40 +32,58 @@ func TestHashAggSchemaNames(t *testing.T) {
 	}
 }
 
-// TestSortTieBreak feeds rows with duplicate sort-field values in two
-// different input orders and requires identical output: ties break on the
-// key field, always ascending.
-func TestSortTieBreak(t *testing.T) {
-	desc := testDesc()
-	rows := []tuple.Tuple{mk(5, 20), mk(1, 10), mk(4, 10), mk(2, 20), mk(3, 10)}
-	perm := []tuple.Tuple{mk(3, 10), mk(2, 20), mk(1, 10), mk(5, 20), mk(4, 10)}
-	vf := desc.FieldIndex("v")
-	for _, descending := range []bool{false, true} {
-		a, err := Drain(&Sort{Child: &SliceScan{Schema: desc, Rows: rows}, Field: vf, Descending: descending})
-		if err != nil {
-			t.Fatal(err)
+// refAggregate is the reference the equivalence test checks the
+// partial/final split against, sharing no code with GroupTable or AggPlan:
+// per-group count/sum/min/max in a map, Avg as one integer division of sum
+// by count, groups in ascending key order. (testutil.RefAggregate is the
+// same oracle; importing it here would be a cycle.)
+func refAggregate(rows []tuple.Tuple, plan AggPlan) []tuple.Tuple {
+	type acc struct{ n, sum, min, max int64 }
+	groups := map[int64][]acc{}
+	for _, r := range rows {
+		key := int64(0)
+		if plan.GroupField >= 0 {
+			key = r.Values[plan.GroupField].I64
 		}
-		b, err := Drain(&Sort{Child: &SliceScan{Schema: desc, Rows: perm}, Field: vf, Descending: descending})
-		if err != nil {
-			t.Fatal(err)
+		if groups[key] == nil {
+			groups[key] = make([]acc, len(plan.Aggs))
 		}
-		if !reflect.DeepEqual(ids(a), ids(b)) {
-			t.Fatalf("descending=%v: input order leaked into output: %v vs %v", descending, ids(a), ids(b))
-		}
-		want := []int64{1, 3, 4, 2, 5}
-		if descending {
-			want = []int64{2, 5, 1, 3, 4}
-		}
-		if got := ids(a); !reflect.DeepEqual(got, want) {
-			t.Fatalf("descending=%v: got %v, want %v", descending, got, want)
+		for i, a := range plan.Aggs {
+			c, v := &groups[key][i], r.Values[a.Field].I64
+			if c.n == 0 || v < c.min {
+				c.min = v
+			}
+			if c.n == 0 || v > c.max {
+				c.max = v
+			}
+			c.n++
+			c.sum += v
 		}
 	}
+	keys := make([]int64, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	out := make([]tuple.Tuple, 0, len(keys))
+	for _, k := range keys {
+		var vals []tuple.Value
+		if plan.GroupField >= 0 {
+			vals = append(vals, tuple.VInt(k))
+		}
+		for i, a := range plan.Aggs {
+			c := groups[k][i]
+			vals = append(vals, tuple.VInt(map[AggFunc]int64{Count: c.n, Sum: c.sum, Min: c.min, Max: c.max, Avg: c.sum / c.n}[a.Fn]))
+		}
+		out = append(out, tuple.Tuple{Values: vals})
+	}
+	return out
 }
 
 // TestPartialFinalEquivalence shards rows across "sites", aggregates each
 // shard into partial states, merges the states in shuffled order, and
-// requires the finalised result to be byte-identical to one HashAgg over
-// all rows — including Avg values whose integer division loses remainders
+// requires the finalised result to be byte-identical to a plain
+// single-site reference over all rows — including Avg values whose integer division loses remainders
 // that per-site averaging would get wrong.
 func TestPartialFinalEquivalence(t *testing.T) {
 	desc := testDesc()
@@ -86,15 +101,7 @@ func TestPartialFinalEquivalence(t *testing.T) {
 			{Fn: Avg, Field: desc.FieldIndex("id")},
 		}}
 
-		// Single-site reference.
-		want, err := Drain(&HashAgg{
-			Child:      &SliceScan{Schema: desc, Rows: rows},
-			GroupField: group,
-			Aggs:       plan.Aggs,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := refAggregate(rows, plan)
 
 		// Distributed: 4 shards, partial states merged in shuffled order.
 		shards := make([]*GroupTable, 4)
@@ -114,48 +121,6 @@ func TestPartialFinalEquivalence(t *testing.T) {
 		got := plan.Rows(final)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("group=%d: merged partials diverge:\n got %v\nwant %v", group, got, want)
-		}
-	}
-}
-
-// TestAggNextBatchNative checks HashAgg and Sort stream natively batch-at-
-// a-time (AsBatch must not wrap them) and deliver more than one batch.
-func TestAggNextBatchNative(t *testing.T) {
-	desc := testDesc()
-	n := 3 * DefaultBatchRows / 2
-	var rows []tuple.Tuple
-	for id := 0; id < n; id++ {
-		rows = append(rows, mk(int64(id), int64(id)))
-	}
-	agg := &HashAgg{
-		Child:      &SliceScan{Schema: desc, Rows: rows},
-		GroupField: desc.FieldIndex("v"),
-		Aggs:       []AggSpec{{Fn: Count}},
-	}
-	srt := &Sort{Child: &SliceScan{Schema: desc, Rows: rows}, Field: desc.Key, Descending: true}
-	for name, op := range map[string]Operator{"hashagg": agg, "sort": srt} {
-		bop := AsBatch(op)
-		if _, wrapped := bop.(*batchAdapter); wrapped {
-			t.Fatalf("%s: AsBatch fell back to the per-tuple adapter", name)
-		}
-		if err := bop.Open(); err != nil {
-			t.Fatal(err)
-		}
-		got, batches := 0, 0
-		b := tuple.NewBatch(DefaultBatchRows)
-		for {
-			if err := bop.NextBatch(b); err != nil {
-				t.Fatal(err)
-			}
-			if b.Len() == 0 {
-				break
-			}
-			got += b.Len()
-			batches++
-		}
-		bop.Close()
-		if got != n || batches < 2 {
-			t.Fatalf("%s: streamed %d rows in %d batches, want %d rows in >=2", name, got, batches, n)
 		}
 	}
 }

@@ -1,9 +1,10 @@
-// Package exec implements the database operators of §6.1.5 behind the
-// standard row-iterator interface: sequential scans (with the timestamp-
-// aware visibility modes that HARBOR's historical and recovery queries
-// need), index lookups on tuple identifiers, predicate filters, projections,
-// hash aggregation, nested-loops joins, and the insert/delete/update
-// mutation helpers built on the versioning layer.
+// Package exec implements the one operator of §6.1.5 that HARBOR's reads
+// need: a batch-at-a-time sequential scan with the timestamp-aware
+// visibility modes of historical, SEE DELETED and locked reads, pruned by
+// segment and by page key bounds. Around it sit index lookups on tuple
+// identifiers, the key-addressed update/delete helpers built on the
+// versioning layer, and the partial/final aggregation algebra that the
+// worker folds scan batches into.
 //
 // Query plans are constructed programmatically, exactly as in the thesis
 // ("the database implementation does not yet have a SQL parser frontend;
@@ -20,16 +21,6 @@ import (
 	"harbor/internal/tuple"
 	"harbor/internal/version"
 )
-
-// Operator is the §6.1.5 iterator interface. Next returns ok=false at end
-// of stream.
-type Operator interface {
-	Open() error
-	Next() (t tuple.Tuple, ok bool, err error)
-	Rewind() error
-	Close() error
-	Desc() *tuple.Desc
-}
 
 // Visibility selects which tuples a scan surfaces and how their timestamps
 // are presented.
@@ -146,12 +137,6 @@ func (s *SeqScan) Open() error {
 	return nil
 }
 
-// Rewind restarts the scan.
-func (s *SeqScan) Rewind() error {
-	s.releaseFrame()
-	return s.Open()
-}
-
 // Close releases resources. Page locks (if any) are released at end of
 // transaction by the lock manager, per strict 2PL.
 func (s *SeqScan) Close() error {
@@ -230,97 +215,42 @@ func (s *SeqScan) slotTuple(i int) (tuple.Tuple, bool, error) {
 	if err != nil {
 		return tuple.Tuple{}, false, err
 	}
-	vis, out := s.present(t)
+	vis, out := present(s.spec.Vis, s.spec.AsOf, t)
 	return out, vis && s.spec.Pred.Eval(s.desc, out), nil
 }
 
-// Next returns the next visible tuple.
-func (s *SeqScan) Next() (tuple.Tuple, bool, error) {
-	for {
-		if s.frame == nil {
-			if ok, err := s.advancePage(); !ok {
-				return tuple.Tuple{}, false, err
-			}
-		}
-		for s.slot < s.frame.Page.NumSlots() {
-			t, ok, err := s.slotTuple(s.slot)
-			s.slot++
-			if err != nil || ok {
-				return t, ok, err
-			}
-		}
-		s.releaseFrame()
-	}
-}
-
-// present applies the visibility mode, returning whether the tuple is
-// surfaced and the (possibly timestamp-rewritten) tuple.
-func (s *SeqScan) present(t tuple.Tuple) (bool, tuple.Tuple) {
-	switch s.spec.Vis {
+// present applies visibility mode vis at time asOf, returning whether the
+// tuple is surfaced and the (possibly timestamp-rewritten) tuple.
+func present(vis Visibility, asOf tuple.Timestamp, t tuple.Tuple) (bool, tuple.Tuple) {
+	switch vis {
 	case Current:
 		if t.InsTS() == tuple.Uncommitted || t.DelTS() != tuple.NotDeleted {
 			return false, t
 		}
 		return true, t
 	case Historical:
-		if !t.VisibleAt(s.spec.AsOf) {
+		if !t.VisibleAt(asOf) {
 			return false, t
 		}
-		if t.DelTS() > s.spec.AsOf {
+		if t.DelTS() > asOf {
 			t.SetDelTS(tuple.NotDeleted)
 		}
 		return true, t
 	case SeeDeleted:
-		if s.spec.AsOf > 0 {
+		if asOf > 0 {
 			// SEE DELETED HISTORICAL (§5.3): hide later insertions, mask
 			// later deletions.
 			ins := t.InsTS()
-			if ins == tuple.Uncommitted || ins > s.spec.AsOf {
+			if ins == tuple.Uncommitted || ins > asOf {
 				return false, t
 			}
-			if t.DelTS() > s.spec.AsOf {
+			if t.DelTS() > asOf {
 				t.SetDelTS(tuple.NotDeleted)
 			}
 		}
 		return true, t
 	default:
 		return false, t
-	}
-}
-
-// RIDScan is like SeqScan but also reports each tuple's record id through a
-// callback; recovery's local queries need the physical position.
-type RIDScan struct {
-	Store *version.Store
-	Spec  ScanSpec
-}
-
-// ForEach runs the scan, invoking fn per visible tuple (under the page's
-// read latch). Returning false stops early.
-func (r *RIDScan) ForEach(fn func(rid page.RecordID, t tuple.Tuple) (bool, error)) error {
-	s := NewSeqScan(r.Store, r.Spec)
-	if err := s.Open(); err != nil {
-		return err
-	}
-	defer s.Close()
-	for {
-		if ok, err := s.advancePage(); !ok {
-			return err
-		}
-		pg := s.frame.Page
-		for slot := 0; slot < pg.NumSlots(); slot++ {
-			t, ok, err := s.slotTuple(slot)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			if cont, err := fn(page.RecordID{Page: pg.ID(), Slot: slot}, t); err != nil || !cont {
-				return err
-			}
-		}
-		s.releaseFrame()
 	}
 }
 
@@ -331,7 +261,6 @@ func IndexLookup(store *version.Store, table int32, key int64, vis Visibility, a
 		return nil, nil, err
 	}
 	desc := tb.Heap.Desc()
-	helper := &SeqScan{store: store, spec: ScanSpec{Vis: vis, AsOf: asOf}, desc: desc}
 	var ts []tuple.Tuple
 	var rids []page.RecordID
 	for _, rid := range tb.Index.Lookup(key) {
@@ -344,7 +273,7 @@ func IndexLookup(store *version.Store, table int32, key int64, vis Visibility, a
 			raw, slotErr := f.Page.Slot(rid.Slot)
 			if slotErr == nil {
 				if t, decErr := tuple.Decode(desc, raw); decErr == nil {
-					if vis2, out := helper.present(t); vis2 {
+					if ok, out := present(vis, asOf, t); ok {
 						ts = append(ts, out)
 						rids = append(rids, rid)
 					}

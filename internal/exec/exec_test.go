@@ -217,41 +217,26 @@ func TestScanSegmentsRestriction(t *testing.T) {
 	}
 }
 
-func TestFilterProjectLimit(t *testing.T) {
-	st := newSite(t)
-	seed(t, st, 1, mk(1, 100), mk(2, 200), mk(3, 300), mk(4, 400))
-	desc := testDesc()
-	plan := &Limit{
-		N: 2,
-		Child: &Project{
-			Fields: []int{desc.FieldIndex("id"), desc.FieldIndex("v")},
-			Child: &Filter{
-				Pred:  expr.True.And(expr.Term{Field: desc.FieldIndex("v"), Op: expr.GE, Value: tuple.VInt(200)}),
-				Child: NewSeqScan(st, ScanSpec{Table: 1, Vis: Current}),
-			},
-		},
-	}
-	rows, err := Drain(plan)
-	if err != nil {
+// aggregate runs plan over a current scan of table 1 the way a worker and
+// the coordinator split it: SeqScan batches fold into a GroupTable, which
+// AggPlan.Rows finalises in group-key order.
+func aggregate(t *testing.T, st *version.Store, plan AggPlan) []tuple.Tuple {
+	t.Helper()
+	gt := NewGroupTable(plan.GroupField, plan.Partials())
+	if err := DrainBatches(NewSeqScan(st, ScanSpec{Table: 1, Vis: Current}), func(b *tuple.Batch) error {
+		gt.AddBatch(b)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("limit produced %d rows", len(rows))
-	}
-	if len(rows[0].Values) != 2 {
-		t.Fatalf("projection kept %d fields", len(rows[0].Values))
-	}
-	if rows[0].Values[0].I64 != 2 || rows[1].Values[0].I64 != 3 {
-		t.Fatalf("wrong rows: %v", rows)
-	}
+	return plan.Rows(gt)
 }
 
-func TestHashAgg(t *testing.T) {
+func TestScanGroupTableAggregate(t *testing.T) {
 	st := newSite(t)
 	seed(t, st, 1, mk(1, 10), mk(2, 10), mk(3, 20), mk(4, 20), mk(5, 20))
 	desc := testDesc()
-	agg := &HashAgg{
-		Child:      NewSeqScan(st, ScanSpec{Table: 1, Vis: Current}),
+	rows := aggregate(t, st, AggPlan{
 		GroupField: desc.FieldIndex("v"),
 		Aggs: []AggSpec{
 			{Fn: Count},
@@ -260,11 +245,7 @@ func TestHashAgg(t *testing.T) {
 			{Fn: Max, Field: desc.FieldIndex("id")},
 			{Fn: Avg, Field: desc.FieldIndex("id")},
 		},
-	}
-	rows, err := Drain(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if len(rows) != 2 {
 		t.Fatalf("groups = %d", len(rows))
 	}
@@ -281,42 +262,12 @@ func TestHashAgg(t *testing.T) {
 	}
 }
 
-func TestHashAggGlobalGroup(t *testing.T) {
+func TestScanGroupTableGlobalGroup(t *testing.T) {
 	st := newSite(t)
 	seed(t, st, 1, mk(1, 1), mk(2, 2), mk(3, 3))
-	agg := &HashAgg{
-		Child:      NewSeqScan(st, ScanSpec{Table: 1, Vis: Current}),
-		GroupField: -1,
-		Aggs:       []AggSpec{{Fn: Count}},
-	}
-	rows, err := Drain(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := aggregate(t, st, AggPlan{GroupField: -1, Aggs: []AggSpec{{Fn: Count}}})
 	if len(rows) != 1 || rows[0].Values[0].I64 != 3 {
 		t.Fatalf("global count: %v", rows)
-	}
-}
-
-func TestNestedLoopJoin(t *testing.T) {
-	desc := testDesc()
-	left := &SliceScan{Schema: desc, Rows: []tuple.Tuple{mk(1, 7), mk(2, 8), mk(3, 7)}}
-	right := &SliceScan{Schema: desc, Rows: []tuple.Tuple{mk(10, 7), mk(11, 9)}}
-	vf := desc.FieldIndex("v")
-	j := &NestedLoopJoin{Left: left, Right: right, LeftField: vf, RightField: vf}
-	rows, err := Drain(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// v=7 matches rows 1 and 3 on the left with row 10 on the right.
-	if len(rows) != 2 {
-		t.Fatalf("join rows = %d, want 2", len(rows))
-	}
-	if rows[0].Values[2].I64 != 1 || rows[1].Values[2].I64 != 3 {
-		t.Fatalf("join output: %v", rows)
-	}
-	if len(rows[0].Values) != 2*len(desc.Fields) {
-		t.Fatal("join schema width wrong")
 	}
 }
 
@@ -359,17 +310,17 @@ func TestIndexLookupVersions(t *testing.T) {
 	}
 }
 
-func TestDeleteWhereAndUpdateWhere(t *testing.T) {
+func TestDeleteByKeyAndUpdateByKey(t *testing.T) {
 	st := newSite(t)
 	seed(t, st, 1, mk(1, 10), mk(2, 20), mk(3, 30))
 	desc := testDesc()
-	pred := expr.True.And(expr.Term{Field: desc.FieldIndex("v"), Op: expr.GE, Value: tuple.VInt(20)})
-	n, err := DeleteWhere(st, 500, 1, pred)
-	if err != nil {
-		t.Fatal(err)
+	for _, key := range []int64{2, 3} {
+		if ok, err := DeleteByKey(st, 500, 1, key); err != nil || !ok {
+			t.Fatalf("DeleteByKey(%d): %v %v", key, ok, err)
+		}
 	}
-	if n != 2 {
-		t.Fatalf("DeleteWhere marked %d", n)
+	if ok, err := DeleteByKey(st, 500, 1, 99); err != nil || ok {
+		t.Fatalf("DeleteByKey of a missing key: %v %v", ok, err)
 	}
 	if err := st.Commit(500, 2, false, false); err != nil {
 		t.Fatal(err)
@@ -382,16 +333,11 @@ func TestDeleteWhereAndUpdateWhere(t *testing.T) {
 		t.Fatalf("after delete: %v", got)
 	}
 
-	n, err = UpdateWhere(st, 501, 1, expr.True.And(expr.Term{Field: desc.Key, Op: expr.EQ, Value: tuple.VInt(1)}),
-		func(t tuple.Tuple) tuple.Tuple {
-			t.Values[desc.FieldIndex("v")] = tuple.VInt(99)
-			return t
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("UpdateWhere touched %d", n)
+	if ok, err := UpdateByKey(st, 501, 1, 1, func(t tuple.Tuple) tuple.Tuple {
+		t.Values[desc.FieldIndex("v")] = tuple.VInt(99)
+		return t
+	}); err != nil || !ok {
+		t.Fatalf("UpdateByKey: %v %v", ok, err)
 	}
 	if err := st.Commit(501, 3, false, false); err != nil {
 		t.Fatal(err)
@@ -399,44 +345,6 @@ func TestDeleteWhereAndUpdateWhere(t *testing.T) {
 	cur, _, err := IndexLookup(st, 1, 1, Current, 0)
 	if err != nil || len(cur) != 1 || cur[0].Values[3].I64 != 99 {
 		t.Fatalf("after update: %v %v", cur, err)
-	}
-}
-
-func TestRewind(t *testing.T) {
-	st := newSite(t)
-	seed(t, st, 1, mk(1, 1), mk(2, 2))
-	scan := NewSeqScan(st, ScanSpec{Table: 1, Vis: Current})
-	if err := scan.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer scan.Close()
-	var first []int64
-	for {
-		tp, ok, err := scan.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		first = append(first, tp.Key(testDesc()))
-	}
-	if err := scan.Rewind(); err != nil {
-		t.Fatal(err)
-	}
-	var second []int64
-	for {
-		tp, ok, err := scan.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		second = append(second, tp.Key(testDesc()))
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("rewind changed results: %v vs %v", first, second)
 	}
 }
 
@@ -454,45 +362,4 @@ func TestLockedScanTakesReadLocks(t *testing.T) {
 		t.Fatal("locked scan did not take page S lock")
 	}
 	st.Locks.ReleaseAll(42)
-}
-
-func TestSortOperator(t *testing.T) {
-	st := newSite(t)
-	seed(t, st, 1, mk(3, 30), mk(1, 10), mk(2, 20))
-	desc := testDesc()
-	asc, err := Drain(&Sort{
-		Child: NewSeqScan(st, ScanSpec{Table: 1, Vis: Current}),
-		Field: desc.Key,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ids(asc); !reflect.DeepEqual(got, []int64{1, 2, 3}) {
-		t.Fatalf("ascending sort: %v", got)
-	}
-	desc2, err := Drain(&Sort{
-		Child:      NewSeqScan(st, ScanSpec{Table: 1, Vis: Current}),
-		Field:      desc.Key,
-		Descending: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ids(desc2); !reflect.DeepEqual(got, []int64{3, 2, 1}) {
-		t.Fatalf("descending sort: %v", got)
-	}
-	// Rewind replays without re-scanning.
-	s := &Sort{Child: NewSeqScan(st, ScanSpec{Table: 1, Vis: Current}), Field: desc.Key}
-	if err := s.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	first, _, _ := s.Next()
-	if err := s.Rewind(); err != nil {
-		t.Fatal(err)
-	}
-	again, _, _ := s.Next()
-	if !first.Equal(desc, again) {
-		t.Fatal("rewind changed order")
-	}
 }

@@ -1,77 +1,9 @@
 package exec
 
 import (
-	"harbor/internal/expr"
-	"harbor/internal/page"
 	"harbor/internal/tuple"
 	"harbor/internal/version"
 )
-
-// InsertMany inserts every tuple into the table under tid (the insert
-// operator of §6.1.5 collapsed to a helper, since plans are built in code).
-// It returns the record ids assigned.
-func InsertMany(store *version.Store, tid version.TxnID, table int32, tuples []tuple.Tuple) ([]page.RecordID, error) {
-	rids := make([]page.RecordID, 0, len(tuples))
-	for _, t := range tuples {
-		rid, err := store.InsertTuple(tid, table, t)
-		if err != nil {
-			return rids, err
-		}
-		rids = append(rids, rid)
-	}
-	return rids, nil
-}
-
-// DeleteWhere versionally deletes every currently visible tuple matching
-// pred, returning the number of tuples marked. Locks: the scan takes page
-// read locks and the deletes upgrade to exclusive, per strict 2PL.
-func DeleteWhere(store *version.Store, tid version.TxnID, table int32, pred expr.Pred) (int, error) {
-	scan := &RIDScan{Store: store, Spec: ScanSpec{
-		Table: table, Vis: Current, Locked: true, Txn: tid, Pred: pred,
-	}}
-	// Collect first: mutating while holding the scan's latches would
-	// self-deadlock on the page latch.
-	type victim struct{ rid page.RecordID }
-	var victims []victim
-	if err := scan.ForEach(func(rid page.RecordID, _ tuple.Tuple) (bool, error) {
-		victims = append(victims, victim{rid: rid})
-		return true, nil
-	}); err != nil {
-		return 0, err
-	}
-	for _, v := range victims {
-		if _, err := store.DeleteTuple(tid, table, v.rid); err != nil {
-			return 0, err
-		}
-	}
-	return len(victims), nil
-}
-
-// UpdateWhere rewrites every currently visible tuple matching pred using
-// set (which receives a copy and returns the replacement; the key must not
-// change). Each update is a versioned delete + insert (§3.3).
-func UpdateWhere(store *version.Store, tid version.TxnID, table int32, pred expr.Pred, set func(tuple.Tuple) tuple.Tuple) (int, error) {
-	scan := &RIDScan{Store: store, Spec: ScanSpec{
-		Table: table, Vis: Current, Locked: true, Txn: tid, Pred: pred,
-	}}
-	type job struct {
-		rid page.RecordID
-		t   tuple.Tuple
-	}
-	var jobs []job
-	if err := scan.ForEach(func(rid page.RecordID, t tuple.Tuple) (bool, error) {
-		jobs = append(jobs, job{rid: rid, t: t.Clone()})
-		return true, nil
-	}); err != nil {
-		return 0, err
-	}
-	for _, j := range jobs {
-		if _, err := store.UpdateTuple(tid, table, j.rid, set(j.t)); err != nil {
-			return 0, err
-		}
-	}
-	return len(jobs), nil
-}
 
 // DeleteByKey versionally deletes the live version of a key via the primary
 // index, returning whether a version was found.

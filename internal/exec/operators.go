@@ -1,183 +1,5 @@
 package exec
 
-import (
-	"fmt"
-	"sort"
-
-	"harbor/internal/expr"
-	"harbor/internal/tuple"
-)
-
-// Filter passes through child tuples matching a predicate.
-type Filter struct {
-	Child Operator
-	Pred  expr.Pred
-
-	bchild BatchOperator
-}
-
-// Open opens the child.
-func (f *Filter) Open() error { return f.Child.Open() }
-
-// Rewind rewinds the child.
-func (f *Filter) Rewind() error { return f.Child.Rewind() }
-
-// Close closes the child.
-func (f *Filter) Close() error { return f.Child.Close() }
-
-// Desc returns the child's schema.
-func (f *Filter) Desc() *tuple.Desc { return f.Child.Desc() }
-
-// Next returns the next matching tuple.
-func (f *Filter) Next() (tuple.Tuple, bool, error) {
-	for {
-		t, ok, err := f.Child.Next()
-		if err != nil || !ok {
-			return t, ok, err
-		}
-		if f.Pred.Eval(f.Child.Desc(), t) {
-			return t, true, nil
-		}
-	}
-}
-
-// Project narrows tuples to the selected physical field indexes.
-type Project struct {
-	Child  Operator
-	Fields []int
-
-	desc    *tuple.Desc
-	bchild  BatchOperator
-	scratch *tuple.Batch
-}
-
-// Open opens the child and derives the output schema.
-func (p *Project) Open() error {
-	if err := p.Child.Open(); err != nil {
-		return err
-	}
-	in := p.Child.Desc()
-	fields := make([]tuple.FieldDef, len(p.Fields))
-	for i, fi := range p.Fields {
-		if fi < 0 || fi >= len(in.Fields) {
-			return fmt.Errorf("exec: project field %d out of range", fi)
-		}
-		fields[i] = in.Fields[fi]
-	}
-	p.desc = &tuple.Desc{Fields: fields}
-	return nil
-}
-
-// Rewind rewinds the child.
-func (p *Project) Rewind() error { return p.Child.Rewind() }
-
-// Close closes the child.
-func (p *Project) Close() error { return p.Child.Close() }
-
-// Desc returns the projected schema.
-func (p *Project) Desc() *tuple.Desc { return p.desc }
-
-// Next projects the next child tuple.
-func (p *Project) Next() (tuple.Tuple, bool, error) {
-	t, ok, err := p.Child.Next()
-	if err != nil || !ok {
-		return tuple.Tuple{}, ok, err
-	}
-	out := tuple.Tuple{Values: make([]tuple.Value, len(p.Fields))}
-	for i, fi := range p.Fields {
-		out.Values[i] = t.Values[fi]
-	}
-	return out, true, nil
-}
-
-// NestedLoopJoin is the thesis's nested-loops equi-join: for every left
-// tuple it rewinds and re-scans the right child.
-type NestedLoopJoin struct {
-	Left, Right           Operator
-	LeftField, RightField int
-
-	desc    *tuple.Desc
-	cur     tuple.Tuple
-	haveCur bool
-}
-
-// Open opens both children and builds the concatenated schema.
-func (j *NestedLoopJoin) Open() error {
-	if err := j.Left.Open(); err != nil {
-		return err
-	}
-	if err := j.Right.Open(); err != nil {
-		return err
-	}
-	ld, rd := j.Left.Desc(), j.Right.Desc()
-	fields := make([]tuple.FieldDef, 0, len(ld.Fields)+len(rd.Fields))
-	fields = append(fields, ld.Fields...)
-	for _, f := range rd.Fields {
-		f.Name = "r_" + f.Name
-		fields = append(fields, f)
-	}
-	j.desc = &tuple.Desc{Fields: fields}
-	j.haveCur = false
-	return nil
-}
-
-// Rewind restarts the join.
-func (j *NestedLoopJoin) Rewind() error {
-	if err := j.Left.Rewind(); err != nil {
-		return err
-	}
-	if err := j.Right.Rewind(); err != nil {
-		return err
-	}
-	j.haveCur = false
-	return nil
-}
-
-// Close closes both children.
-func (j *NestedLoopJoin) Close() error {
-	errL := j.Left.Close()
-	errR := j.Right.Close()
-	if errL != nil {
-		return errL
-	}
-	return errR
-}
-
-// Desc returns the joined schema.
-func (j *NestedLoopJoin) Desc() *tuple.Desc { return j.desc }
-
-// Next returns the next joined tuple.
-func (j *NestedLoopJoin) Next() (tuple.Tuple, bool, error) {
-	for {
-		if !j.haveCur {
-			lt, ok, err := j.Left.Next()
-			if err != nil || !ok {
-				return tuple.Tuple{}, false, err
-			}
-			j.cur = lt
-			j.haveCur = true
-			if err := j.Right.Rewind(); err != nil {
-				return tuple.Tuple{}, false, err
-			}
-		}
-		rt, ok, err := j.Right.Next()
-		if err != nil {
-			return tuple.Tuple{}, false, err
-		}
-		if !ok {
-			j.haveCur = false
-			continue
-		}
-		if j.cur.Values[j.LeftField].I64 != rt.Values[j.RightField].I64 {
-			continue
-		}
-		out := tuple.Tuple{Values: make([]tuple.Value, 0, len(j.cur.Values)+len(rt.Values))}
-		out.Values = append(out.Values, j.cur.Values...)
-		out.Values = append(out.Values, rt.Values...)
-		return out, true, nil
-	}
-}
-
 // AggFunc enumerates aggregate functions.
 type AggFunc uint8
 
@@ -198,233 +20,4 @@ const (
 type AggSpec struct {
 	Fn    AggFunc
 	Field int // input field (ignored for Count)
-}
-
-// HashAgg is the in-memory hash-grouping aggregation of §6.1.5. GroupField
-// of -1 aggregates everything into a single group. It runs the full
-// partial+final algebra locally: the child is drained batch-at-a-time into
-// a GroupTable and the results are finalised in group-key order, so its
-// output is byte-identical to a distributed merge over the same rows.
-type HashAgg struct {
-	Child      Operator
-	GroupField int
-	Aggs       []AggSpec
-
-	desc    *tuple.Desc
-	results []tuple.Tuple
-	pos     int
-}
-
-// Open drains the child and materialises grouped results.
-func (h *HashAgg) Open() error {
-	if err := h.Child.Open(); err != nil {
-		return err
-	}
-	plan := AggPlan{GroupField: h.GroupField, Aggs: h.Aggs}
-	h.desc = plan.OutDesc(h.Child.Desc())
-	gt := NewGroupTable(h.GroupField, plan.Partials())
-	child := AsBatch(h.Child)
-	b := tuple.NewBatch(DefaultBatchRows)
-	for {
-		if err := child.NextBatch(b); err != nil {
-			return err
-		}
-		if b.Len() == 0 {
-			break
-		}
-		gt.AddBatch(b)
-	}
-	h.results = plan.Rows(gt)
-	h.pos = 0
-	return nil
-}
-
-// Rewind restarts result iteration without re-running the child.
-func (h *HashAgg) Rewind() error {
-	h.pos = 0
-	return nil
-}
-
-// Close closes the child.
-func (h *HashAgg) Close() error { return h.Child.Close() }
-
-// Desc returns the aggregate output schema.
-func (h *HashAgg) Desc() *tuple.Desc { return h.desc }
-
-// Next returns the next group row (groups ordered by key for determinism).
-func (h *HashAgg) Next() (tuple.Tuple, bool, error) {
-	if h.pos >= len(h.results) {
-		return tuple.Tuple{}, false, nil
-	}
-	t := h.results[h.pos]
-	h.pos++
-	return t, true, nil
-}
-
-// Limit caps the number of tuples produced.
-type Limit struct {
-	Child Operator
-	N     int
-	seen  int
-}
-
-// Open opens the child and resets the counter.
-func (l *Limit) Open() error { l.seen = 0; return l.Child.Open() }
-
-// Rewind rewinds the child and resets the counter.
-func (l *Limit) Rewind() error { l.seen = 0; return l.Child.Rewind() }
-
-// Close closes the child.
-func (l *Limit) Close() error { return l.Child.Close() }
-
-// Desc returns the child's schema.
-func (l *Limit) Desc() *tuple.Desc { return l.Child.Desc() }
-
-// Next returns the next tuple until the cap is hit.
-func (l *Limit) Next() (tuple.Tuple, bool, error) {
-	if l.seen >= l.N {
-		return tuple.Tuple{}, false, nil
-	}
-	t, ok, err := l.Child.Next()
-	if ok {
-		l.seen++
-	}
-	return t, ok, err
-}
-
-// SliceScan serves tuples from memory; network operators and tests use it.
-type SliceScan struct {
-	Schema *tuple.Desc
-	Rows   []tuple.Tuple
-	pos    int
-}
-
-// Open resets the cursor.
-func (s *SliceScan) Open() error { s.pos = 0; return nil }
-
-// Rewind resets the cursor.
-func (s *SliceScan) Rewind() error { s.pos = 0; return nil }
-
-// Close is a no-op.
-func (s *SliceScan) Close() error { return nil }
-
-// Desc returns the slice's schema.
-func (s *SliceScan) Desc() *tuple.Desc { return s.Schema }
-
-// Next returns the next row.
-func (s *SliceScan) Next() (tuple.Tuple, bool, error) {
-	if s.pos >= len(s.Rows) {
-		return tuple.Tuple{}, false, nil
-	}
-	t := s.Rows[s.pos]
-	s.pos++
-	return t, true, nil
-}
-
-// Drain runs an operator to completion and returns all rows.
-func Drain(op Operator) ([]tuple.Tuple, error) {
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	var out []tuple.Tuple
-	for {
-		t, ok, err := op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, t)
-	}
-}
-
-// Sort materialises and orders its child's output by one field (ascending;
-// Desc reverses). Replicas stored in different sort orders (§3.1) are
-// queried with a Sort on top when a plan needs a specific order.
-type Sort struct {
-	Child      Operator
-	Field      int
-	Descending bool
-
-	rows []tuple.Tuple
-	pos  int
-}
-
-// cmpField three-way compares two rows on one field.
-func cmpField(d *tuple.Desc, field int, a, b tuple.Tuple) int {
-	if d.Fields[field].Type == tuple.Char {
-		switch {
-		case a.Values[field].Str < b.Values[field].Str:
-			return -1
-		case a.Values[field].Str > b.Values[field].Str:
-			return 1
-		}
-		return 0
-	}
-	switch {
-	case a.Values[field].I64 < b.Values[field].I64:
-		return -1
-	case a.Values[field].I64 > b.Values[field].I64:
-		return 1
-	}
-	return 0
-}
-
-// Open drains and sorts the child. Rows comparing equal on the sort field
-// are tie-broken by the schema's key field (always ascending), so the
-// output order is fully deterministic no matter what order the child —
-// e.g. a distributed merge racing several sites — produced the rows in.
-func (s *Sort) Open() error {
-	if err := s.Child.Open(); err != nil {
-		return err
-	}
-	s.rows = s.rows[:0]
-	child := AsBatch(s.Child)
-	b := tuple.NewBatch(DefaultBatchRows)
-	for {
-		if err := child.NextBatch(b); err != nil {
-			return err
-		}
-		if b.Len() == 0 {
-			break
-		}
-		s.rows = append(s.rows, b.Rows()...)
-	}
-	d := s.Child.Desc()
-	sort.SliceStable(s.rows, func(i, j int) bool {
-		c := cmpField(d, s.Field, s.rows[i], s.rows[j])
-		if s.Descending {
-			c = -c
-		}
-		if c != 0 {
-			return c < 0
-		}
-		if d.Key != s.Field {
-			return cmpField(d, d.Key, s.rows[i], s.rows[j]) < 0
-		}
-		return false
-	})
-	s.pos = 0
-	return nil
-}
-
-// Rewind restarts result iteration.
-func (s *Sort) Rewind() error { s.pos = 0; return nil }
-
-// Close closes the child.
-func (s *Sort) Close() error { return s.Child.Close() }
-
-// Desc returns the child's schema.
-func (s *Sort) Desc() *tuple.Desc { return s.Child.Desc() }
-
-// Next returns rows in sorted order.
-func (s *Sort) Next() (tuple.Tuple, bool, error) {
-	if s.pos >= len(s.rows) {
-		return tuple.Tuple{}, false, nil
-	}
-	t := s.rows[s.pos]
-	s.pos++
-	return t, true, nil
 }

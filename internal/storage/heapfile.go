@@ -725,14 +725,32 @@ func (h *HeapFile) ReleasePages(pages []int32) error {
 
 // DropOldestSegment removes segment 0 (the §4.2 bulk-drop feature used by
 // clickthrough warehouses), returning its pages to the free list, and
-// durably flushes the meta so the drop is atomic.
+// durably flushes the meta so the drop is atomic. AllocPage hands a free
+// page out as it is on disk, so each victim page is zeroed (ReadPageData
+// formats an all-zero page empty) and synced before the meta lists it as
+// free; the caller must already have discarded the pages' pool frames.
 func (h *HeapFile) DropOldestSegment() error {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	if len(h.meta.Segments) == 0 {
-		h.mu.Unlock()
 		return fmt.Errorf("storage: no segments to drop")
 	}
 	victim := h.meta.Segments[0]
+	for _, e := range victim.Extents {
+		if _, err := h.file.WriteAt(make([]byte, int(e.Count)*page.Size), int64(e.Start)*page.Size); err != nil {
+			return err
+		}
+		h.pageWrites += int64(e.Count)
+		h.ioWrites.Add(int64(e.Count))
+		for p := e.Start; p < e.Start+e.Count; p++ {
+			delete(h.quarantined, p)
+		}
+	}
+	h.syncs++
+	h.ioSyncs.Inc()
+	if err := h.file.Sync(); err != nil {
+		return err
+	}
 	h.meta.Segments = h.meta.Segments[1:]
 	h.meta.Free = append(h.meta.Free, victim.Extents...)
 	// Reindex pageSeg: all later segments shift down by one.
@@ -756,9 +774,7 @@ func (h *HeapFile) DropOldestSegment() error {
 		h.meta.MinUncommittedSeg--
 	}
 	h.metaDirty = true
-	err := h.flushMetaLocked()
-	h.mu.Unlock()
-	return err
+	return h.flushMetaLocked()
 }
 
 // ScanDirect iterates every used slot of the listed segments straight from

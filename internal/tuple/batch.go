@@ -1,7 +1,7 @@
 package tuple
 
 // Batch is a reusable slab of tuples — the unit of exchange of the
-// batch-at-a-time pipeline. Operators fill it with NextBatch, the worker
+// batch-at-a-time pipeline. exec.SeqScan fills it with NextBatch, the worker
 // packs its rows into one wire frame, and recovery applies it in bulk.
 // The backing array is retained across Reset so a steady-state pipeline
 // recycles one allocation per stream, not one per row.
@@ -28,9 +28,6 @@ func (b *Batch) Append(t Tuple) { b.rows = append(b.rows, t) }
 
 // Rows returns the filled prefix; valid until the next Reset.
 func (b *Batch) Rows() []Tuple { return b.rows }
-
-// Truncate keeps only the first n rows (used by in-place filtering).
-func (b *Batch) Truncate(n int) { b.rows = b.rows[:n] }
 
 // EncodeTo appends the batch's rows to buf in the fixed-width heap-page
 // row encoding (d.Width() bytes per row, no per-row framing) and returns

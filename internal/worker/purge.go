@@ -93,13 +93,14 @@ func (s *Site) PurgeRange(table int32, rng expr.KeyRange) (int, error) {
 		s.Pool.Discard(page.ID{Table: heap.TableID(), PageNo: pno})
 		s.Store.ClearFreeSlot(heap.TableID(), pno)
 	}
+	// The emptied images are durable before the meta that frees them.
+	if err := heap.SyncData(); err != nil {
+		return purged, err
+	}
 	if err := heap.ReleasePages(emptied); err != nil {
 		return purged, err
 	}
 	s.reg.Counter("worker.purge.pages_released").Add(int64(len(emptied)))
-	if err := heap.SyncData(); err != nil {
-		return purged, err
-	}
 	if err := heap.FlushMeta(); err != nil {
 		return purged, err
 	}

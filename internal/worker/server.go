@@ -666,22 +666,13 @@ func (s *Site) streamAggScan(c *comm.Conn, m *wire.Msg, spec exec.ScanSpec) erro
 		return fmt.Errorf("worker: agg group field %d out of range", group)
 	}
 	gt := exec.NewGroupTable(group, partial)
-	scan := exec.NewSeqScan(s.Store, spec)
-	if err := scan.Open(); err != nil {
-		return err
-	}
-	defer scan.Close()
-	b := tuple.NewBatch(exec.DefaultBatchRows)
 	rowsIn := int64(0)
-	for {
-		if err := scan.NextBatch(b); err != nil {
-			return err
-		}
-		if b.Len() == 0 {
-			break
-		}
+	if err := exec.DrainBatches(exec.NewSeqScan(s.Store, spec), func(b *tuple.Batch) error {
 		rowsIn += int64(b.Len())
 		gt.AddBatch(b)
+		return nil
+	}); err != nil {
+		return err
 	}
 	s.aggRowsIn.Add(rowsIn)
 	s.aggGroups.Add(int64(gt.Groups()))
@@ -776,25 +767,16 @@ func (s *Site) streamRecoveryScan(c *comm.Conn, m *wire.Msg) error {
 		Segments: sel,
 		Pred:     pred,
 	}
-	scan := exec.NewSeqScan(s.Store, spec)
-	if err := scan.Open(); err != nil {
-		return err
-	}
-	defer scan.Close()
 	fs := s.newFrameStream(c, desc, keysOnly)
-	b := tuple.NewBatch(exec.DefaultBatchRows)
-	for {
-		if err := scan.NextBatch(b); err != nil {
-			return err
-		}
-		if b.Len() == 0 {
-			break
-		}
+	if err := exec.DrainBatches(exec.NewSeqScan(s.Store, spec), func(b *tuple.Batch) error {
 		for _, t := range b.Rows() {
 			if err := fs.add(t); err != nil {
 				return err
 			}
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	return fs.end()
 }
