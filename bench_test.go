@@ -298,37 +298,6 @@ func BenchmarkEndToEndInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSegmentPruning quantifies the §4.2 segment
-// architecture: the same HARBOR recovery with and without segment-
-// timestamp pruning on every recovery scan. Without pruning, Phase 1 and
-// the buddy-side scans touch every segment of the preloaded table.
-func BenchmarkAblationSegmentPruning(b *testing.B) {
-	for _, noPrune := range []bool{false, true} {
-		name := "pruned"
-		if noPrune {
-			name = "unpruned"
-		}
-		b.Run(name, func(b *testing.B) {
-			var total float64
-			for i := 0; i < b.N; i++ {
-				res, err := sim.RunRecoveryBench(b.TempDir(), sim.RecoveryParams{
-					Scenario:        sim.Harbor1Table,
-					PreloadSegments: 24,
-					SegPages:        16,
-					InsertTxns:      100,
-					DisablePruning:  noPrune,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += res.RecoveryTime.Seconds() * 1000
-			}
-			b.ReportMetric(total/float64(b.N), "recovery-ms")
-			b.ReportMetric(0, "ns/op")
-		})
-	}
-}
-
 // BenchmarkAblationGroupCommit isolates the group-commit mechanism at one
 // concurrency level (the Figure 6-2 vertical slice at concurrency 10).
 func BenchmarkAblationGroupCommit(b *testing.B) {

@@ -51,14 +51,14 @@ type SoakResult struct {
 	// the corruption-path assertions only apply when this is nonzero).
 	CompoundRounds int
 	Commits        int
-	Aborts       int
-	CorruptPages int
-	PageRepairs  int
-	ScrubPages   int
-	ScrubRepairs int
-	SLOBreaches  int
-	Violations   []string
-	Schedules    []string // executed fault schedules of the violating rounds
+	Aborts         int
+	CorruptPages   int
+	PageRepairs    int
+	ScrubPages     int
+	ScrubRepairs   int
+	SLOBreaches    int
+	Violations     []string
+	Schedules      []string // executed fault schedules of the violating rounds
 }
 
 // Soak runs chaos rounds until the duration budget is spent, rotating

@@ -192,7 +192,7 @@ func TestMidRecoveryHistoricalReadsMatchHealthyCluster(t *testing.T) {
 	// checkpoint snapshot (nothing was flushed after it), which IS the
 	// historical image at preTS; recovery would publish exactly this horizon
 	// after its Phase 1 rewind.
-	w.SetObjectState(1, worker.ObjHistoricalCopy, preTS)
+	w.CarveSegmentState(1, expr.FullKeyRange(), worker.ObjHistoricalCopy, preTS)
 
 	readsBefore := w.Obs().Counter(obs.Name("worker.table.reads", "table", "1")).Load()
 	fromRecovering, err := cl.Coord.Scan(1, coord.QueryOptions{
@@ -285,9 +285,9 @@ func TestMidRecoverySegmentRoutedReadMatchesHealthy(t *testing.T) {
 	low := expr.KeyRange{Lo: full.Lo, Hi: 20}
 	high := expr.KeyRange{Lo: 20, Hi: full.Hi}
 	w0.SetObjectSegments(1, []int64{20}, worker.ObjNeedsRecovery, 0)
-	w0.SetSegmentState(1, low, worker.ObjHistoricalCopy, preTS)
+	w0.CarveSegmentState(1, low, worker.ObjHistoricalCopy, preTS)
 	w1.SetObjectSegments(1, []int64{20}, worker.ObjNeedsRecovery, 0)
-	w1.SetSegmentState(1, high, worker.ObjHistoricalCopy, preTS)
+	w1.CarveSegmentState(1, high, worker.ObjHistoricalCopy, preTS)
 
 	reads0 := w0.Obs().Counter(obs.Name("worker.table.reads", "table", "1"))
 	reads1 := w1.Obs().Counter(obs.Name("worker.table.reads", "table", "1"))
@@ -308,8 +308,8 @@ func TestMidRecoverySegmentRoutedReadMatchesHealthy(t *testing.T) {
 	// Drained locked catch-up: the same complementary segments reach Catchup
 	// with their horizons at the cluster HWM, so a *current* read (whose
 	// start timestamp is that HWM) also composes across the two sites.
-	w0.SetSegmentState(1, low, worker.ObjCatchup, preTS)
-	w1.SetSegmentState(1, high, worker.ObjCatchup, preTS)
+	w0.CarveSegmentState(1, low, worker.ObjCatchup, preTS)
+	w1.CarveSegmentState(1, high, worker.ObjCatchup, preTS)
 	time.Sleep(150 * time.Millisecond) // let the coordinator's readiness probe cache expire
 	before0, before1 = reads0.Load(), reads1.Load()
 	curSplit, err := cl.Coord.Scan(1, coord.QueryOptions{})

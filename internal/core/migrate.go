@@ -7,11 +7,8 @@ import (
 	"time"
 
 	"harbor/internal/catalog"
-	"harbor/internal/comm"
 	"harbor/internal/expr"
 	"harbor/internal/obs"
-	"harbor/internal/storage"
-	"harbor/internal/tuple"
 	"harbor/internal/wire"
 	"harbor/internal/worker"
 )
@@ -51,7 +48,6 @@ func Migrate(site *worker.Site, cat *catalog.Catalog, spec MigrateSpec, opt Opti
 		return st, nil
 	}
 	r := newEngine(site, cat)
-	r.noPrune = opt.DisablePruning
 
 	// The target may have never heard of the table (a cold joiner).
 	spec2, ok := cat.Table(spec.Table)
@@ -67,21 +63,58 @@ func Migrate(site *worker.Site, cat *catalog.Catalog, spec MigrateSpec, opt Opti
 			return st, err
 		}
 	}
-
-	var err error
-	for attempt := 0; attempt <= opt.Retries; attempt++ {
-		st, err = r.migrateOnce(spec, segPages, opt)
-		if err == nil || (!errors.Is(err, errBuddyFailed) &&
-			!errors.Is(err, storage.ErrPageCorrupt) &&
-			!errors.Is(err, wire.ErrRemoteCorrupt)) {
-			break
-		}
-		// Same retry classes as RecoverSite's runOne: a donor died or tripped
-		// a CRC mid-stream — back off, then replan against the live holders.
-		if attempt < opt.Retries {
-			opt.RetryBackoff.Sleep(attempt)
-		}
+	tb, err := site.Mgr.Get(spec.Table)
+	if err != nil {
+		return st, err
 	}
+	rep := catalog.Replica{Site: site.Cfg.Site, Table: spec.Table, Range: spec.Range, SegPages: segPages}
+	reg, tr := site.Obs(), site.Trace()
+
+	err = withRetries(opt, func() error {
+		st = ObjectStats{Table: spec.Table}
+		t0 := time.Now()
+		traceID := int64(r.ids.Next())
+		tr.Recordf(traceID, obs.EvRecovery, "migrate start table=%d range=[%d,%d)",
+			spec.Table, spec.Range.Lo, spec.Range.Hi)
+
+		// Idempotency reset: a previous attempt (or incarnation) may have
+		// left a partial copy; delete it rather than double-apply. No purge
+		// note — the range is about to become legitimately resident.
+		if _, err := site.PurgeRange(spec.Table, spec.Range); err != nil {
+			return err
+		}
+		site.CarveSegmentState(spec.Table, spec.Range, worker.ObjNeedsRecovery, 0)
+
+		// Copy rounds start at 0: the first round's deletion pass is a
+		// cheap no-op (nothing local inserted at or before 0) and its
+		// insertion pass copies the range's full history — tuples arrive
+		// carrying their original insertion and deletion stamps, so the
+		// copied prefix serves historical reads the moment its horizon
+		// covers them, exactly like a recovering segment. The locked
+		// catch-up then installs this site's coverage of the range at the
+		// coordinator while the donor table locks still exclude commits;
+		// the object-online announcement joins pending transactions
+		// (§5.4.2), whose replay is range-filtered to this replica's
+		// segments.
+		finalT, err := r.transfer(tb, rep, transferSpec{
+			whole: spec.Range,
+			segs:  []expr.KeyRange{spec.Range},
+			underLock: func() error {
+				_, err := placementChange(cat, true, rep)
+				return err
+			},
+		}, opt, &st, traceID)
+		reg.Counter("migrate.copied.tuples").Add(int64(st.Phase2Deletes + st.Phase2Inserts))
+		if err != nil {
+			return err
+		}
+		site.ClearPurgedRange(spec.Table, spec.Range)
+		st.Total = time.Since(t0)
+		reg.Counter("migrate.ranges").Inc()
+		tr.Recordf(traceID, obs.EvRecovery, "migrate done table=%d range=[%d,%d) finalT=%d inserts=%d",
+			spec.Table, spec.Range.Lo, spec.Range.Hi, finalT, st.Phase2Inserts+st.Phase3Inserts)
+		return nil
+	})
 	if err != nil {
 		// The carved segment is not servable; leave it demoted so the gate
 		// keeps refusing reads into the partial copy.
@@ -105,121 +138,15 @@ func Migrate(site *worker.Site, cat *catalog.Catalog, spec MigrateSpec, opt Opti
 	return st, nil
 }
 
-// migrateOnce is one attempt of the transfer plan: local idempotency reset,
-// historical copy rounds, then the engine's locked catch-up with the
-// placement flip under the donor table locks.
-func (r *engine) migrateOnce(spec MigrateSpec, segPages int32, opt Options) (ObjectStats, error) {
-	st := ObjectStats{Table: spec.Table}
-	t0 := time.Now()
-	site := r.Site
-	tb, err := site.Mgr.Get(spec.Table)
-	if err != nil {
-		return st, err
-	}
-	tr, reg := site.Trace(), site.Obs()
-	traceID := int64(r.ids.Next())
-	tr.Recordf(traceID, obs.EvRecovery, "migrate start table=%d range=[%d,%d)",
-		spec.Table, spec.Range.Lo, spec.Range.Hi)
-
-	// Idempotency reset: a previous attempt (or incarnation) may have left a
-	// partial copy; delete it rather than double-apply. No purge note — the
-	// range is about to become legitimately resident.
-	if _, err := site.PurgeRange(spec.Table, spec.Range); err != nil {
-		return st, err
-	}
-	site.CarveSegmentState(spec.Table, spec.Range, worker.ObjNeedsRecovery, 0)
-
-	rep := catalog.Replica{Site: site.Cfg.Site, Table: spec.Table, Range: spec.Range, SegPages: segPages}
-
-	// Historical copy rounds, the Phase 2 shape with lo starting at 0: the
-	// first round's deletion pass is a cheap no-op (nothing local inserted at
-	// or before 0) and its insertion pass copies the range's full history —
-	// tuples arrive carrying their original insertion and deletion stamps,
-	// so the copied prefix serves historical reads the moment its horizon
-	// covers them, exactly like a recovering segment.
-	cur := tuple.Timestamp(0)
-	for round := 0; round < opt.MaxRounds; round++ {
-		hwm, err := r.coordinatorHWM()
-		if err != nil {
-			return st, err
-		}
-		if hwm <= cur || (round > 0 && hwm-cur <= opt.RepeatThreshold) {
-			break
-		}
-		st.Rounds++
-		plan, err := r.Cat.RecoveryPlan(spec.Table, spec.Range, site.Cfg.Site, r.buddyLiveFor(spec.Table))
-		if err != nil {
-			return st, err
-		}
-		for _, src := range plan {
-			du, di, nDel, nIns, err := r.copyWindow(tb, src, cur, hwm, true, 0)
-			st.Phase2Update += du
-			st.Phase2Insert += di
-			st.Phase2Deletes += nDel
-			st.Phase2Inserts += nIns
-			reg.Counter("migrate.copied.tuples").Add(int64(nDel + nIns))
-			if err != nil {
-				return st, err
-			}
-		}
-		if err := r.flushObject(tb); err != nil {
-			return st, err
-		}
-		site.CarveSegmentState(spec.Table, spec.Range, worker.ObjHistoricalCopy, hwm)
-		tr.Recordf(traceID, obs.EvRecovery, "migrate round=%d table=%d window=(%d,%d] sources=%d",
-			st.Rounds, spec.Table, cur, hwm, len(plan))
-		cur = hwm
-	}
-
-	// Locked catch-up + placement flip. The engine acquires table read locks
-	// on the live holders, drains the remaining window, and — still under
-	// those locks, so no commit can slip between the copy and the flip —
-	// installs this site's coverage of the range at the coordinator. The
-	// object-online announcement then joins pending transactions (§5.4.2),
-	// whose replay is range-filtered to this replica's segments.
-	site.CarveSegmentState(spec.Table, spec.Range, worker.ObjCatchup, cur)
-	p3 := time.Now()
-	finalT, err := r.phase3(tb, rep, cur, &st, false, catchupOpts{
-		writeObjCkpt: false, // migration must not disturb crash recovery's resume hints
-		mark: func(ct tuple.Timestamp) {
-			site.CarveSegmentState(spec.Table, spec.Range, worker.ObjCatchup, ct)
-		},
-		underLock: func(finalT tuple.Timestamp) error {
-			_, err := placementChange(r.Cat, true, rep)
-			return err
-		},
-	})
-	if err != nil {
-		return st, err
-	}
-	st.Phase3 = time.Since(p3)
-	site.CarveSegmentState(spec.Table, spec.Range, worker.ObjReady, finalT)
-	site.ClearPurgedRange(spec.Table, spec.Range)
-	st.Total = time.Since(t0)
-	reg.Counter("migrate.ranges").Inc()
-	tr.Recordf(traceID, obs.EvRecovery, "migrate done table=%d range=[%d,%d) finalT=%d inserts=%d",
-		spec.Table, spec.Range.Lo, spec.Range.Hi, finalT, st.Phase2Inserts+st.Phase3Inserts)
-	return st, nil
-}
-
 // Join brings a cold site into the cluster while it serves: register the
 // site's address with the coordinator, take the advisory assignment the
 // coordinator hands back, and stream each assigned range in via Migrate.
 // Existing sites keep their coverage (DropFrom is zero); rebalancing load
 // off them afterwards is PlanSplit + Migrate with a donor.
 func Join(site *worker.Site, cat *catalog.Catalog, opt Options) error {
-	addr, ok := cat.SiteAddr(cat.Coordinator())
-	if !ok {
-		return fmt.Errorf("core: coordinator address unknown")
-	}
-	c, err := comm.Dial(addr)
-	if err != nil {
-		return err
-	}
-	resp, err := c.Call(&wire.Msg{
+	resp, err := call(cat, cat.Coordinator(), &wire.Msg{
 		Type: wire.MsgJoinSite, Site: int32(site.Cfg.Site), Text: site.Addr(),
 	})
-	c.Close()
 	if err != nil {
 		return err
 	}
@@ -293,21 +220,12 @@ func LeastLoadedSite(cat *catalog.Catalog, exclude ...catalog.SiteID) (catalog.S
 // drains reads planned against the previous placement before answering, so
 // a withdraw may be followed immediately by a physical purge.
 func placementChange(cat *catalog.Catalog, add bool, rep catalog.Replica) (int64, error) {
-	addr, ok := cat.SiteAddr(cat.Coordinator())
-	if !ok {
-		return 0, fmt.Errorf("core: coordinator address unknown")
-	}
-	c, err := comm.Dial(addr)
-	if err != nil {
-		return 0, err
-	}
-	defer c.Close()
 	m := &wire.Msg{Type: wire.MsgPlacementChange, Site: int32(rep.Site), Table: rep.Table,
 		KeyLo: rep.Range.Lo, KeyHi: rep.Range.Hi, SegPages: rep.SegPages}
 	if add {
 		m.Flags |= wire.FlagYes
 	}
-	resp, err := c.Call(m)
+	resp, err := call(cat, cat.Coordinator(), m)
 	if err != nil {
 		return 0, err
 	}
@@ -320,16 +238,7 @@ func placementChange(cat *catalog.Catalog, add bool, rep catalog.Replica) (int64
 // purgeRemote asks a site to physically delete its copy of a range (and
 // refuse placement-stale scans into it from then on).
 func purgeRemote(cat *catalog.Catalog, site catalog.SiteID, table int32, rng expr.KeyRange) (int64, error) {
-	addr, ok := cat.SiteAddr(site)
-	if !ok {
-		return 0, fmt.Errorf("core: no address for site %d", site)
-	}
-	c, err := comm.Dial(addr)
-	if err != nil {
-		return 0, err
-	}
-	defer c.Close()
-	resp, err := c.Call(&wire.Msg{Type: wire.MsgPurgeRange, Table: table, KeyLo: rng.Lo, KeyHi: rng.Hi})
+	resp, err := call(cat, site, &wire.Msg{Type: wire.MsgPurgeRange, Table: table, KeyLo: rng.Lo, KeyHi: rng.Hi})
 	if err != nil {
 		return 0, err
 	}

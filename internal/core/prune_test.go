@@ -271,9 +271,9 @@ func TestMidRecoveryPrunedReadMatchesHealthy(t *testing.T) {
 	}
 	full := expr.FullKeyRange()
 	w0.SetObjectSegments(1, []int64{seam}, worker.ObjNeedsRecovery, 0)
-	w0.SetSegmentState(1, expr.KeyRange{Lo: full.Lo, Hi: seam}, worker.ObjHistoricalCopy, preTS)
+	w0.CarveSegmentState(1, expr.KeyRange{Lo: full.Lo, Hi: seam}, worker.ObjHistoricalCopy, preTS)
 	w1.SetObjectSegments(1, []int64{seam}, worker.ObjNeedsRecovery, 0)
-	w1.SetSegmentState(1, expr.KeyRange{Lo: seam, Hi: full.Hi}, worker.ObjHistoricalCopy, preTS)
+	w1.CarveSegmentState(1, expr.KeyRange{Lo: seam, Hi: full.Hi}, worker.ObjHistoricalCopy, preTS)
 
 	desc := testDesc()
 	opt := coord.QueryOptions{Historical: true, AsOf: preTS}
@@ -294,7 +294,7 @@ func TestMidRecoveryPrunedReadMatchesHealthy(t *testing.T) {
 		}
 	}
 	// A range inside w0's half never needs w1's segment, whatever its state.
-	w1.SetSegmentState(1, expr.KeyRange{Lo: seam, Hi: full.Hi}, worker.ObjNeedsRecovery, 0)
+	w1.CarveSegmentState(1, expr.KeyRange{Lo: seam, Hi: full.Hi}, worker.ObjNeedsRecovery, 0)
 	time.Sleep(150 * time.Millisecond) // let the coordinator's readiness probe cache expire
 	opt.Pred = expr.KeyRange{Lo: 10, Hi: 60}.Pred(desc)
 	got, err := cl.Coord.Scan(1, opt)

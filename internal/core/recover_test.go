@@ -11,6 +11,7 @@ import (
 	"harbor/internal/coord"
 	"harbor/internal/core"
 	"harbor/internal/exec"
+	"harbor/internal/expr"
 	"harbor/internal/testutil"
 	"harbor/internal/tuple"
 	"harbor/internal/txn"
@@ -546,6 +547,74 @@ func TestRecoveryPhaseDecomposition(t *testing.T) {
 	}
 	if obj.Rounds < 1 {
 		t.Fatalf("no Phase 2 rounds recorded")
+	}
+}
+
+// The benchmark ledger derives the transfer engine's copy rates from three
+// registry counters; each must total exactly the tuples the public
+// ObjectStats report, for crash recovery and for migration alike.
+func TestTransferCountersMatchObjectStats(t *testing.T) {
+	cl := newCluster(t, 2)
+	for i := int64(1); i <= 40; i++ {
+		commitInsert(t, cl, 1, i, i)
+	}
+	for _, w := range cl.Workers {
+		if err := w.CheckpointNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := int64(41); i <= 60; i++ {
+		commitInsert(t, cl, 1, i, i)
+	}
+	for i := int64(1); i <= 5; i++ {
+		tx := cl.Coord.Begin()
+		if err := tx.DeleteKey(1, i); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl.Workers[0].Crash()
+	w, err := cl.RestartWorker(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := w.Obs()
+	p2, p3 := reg.Counter("recovery.phase2.tuples").Load(), reg.Counter("recovery.phase3.tuples").Load()
+	stats, err := core.New(w, cl.Catalog).RecoverSite(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want2, want3 int64
+	for _, o := range stats.Objects {
+		want2 += int64(o.Phase2Deletes + o.Phase2Inserts)
+		want3 += int64(o.Phase3Deletes + o.Phase3Inserts)
+	}
+	if want2 == 0 {
+		t.Fatalf("recovery copied nothing in Phase 2: %+v", stats.Objects)
+	}
+	if got := reg.Counter("recovery.phase2.tuples").Load() - p2; got != want2 {
+		t.Fatalf("recovery.phase2.tuples = %d, ObjectStats sum %d", got, want2)
+	}
+	if got := reg.Counter("recovery.phase3.tuples").Load() - p3; got != want3 {
+		t.Fatalf("recovery.phase3.tuples = %d, ObjectStats sum %d", got, want3)
+	}
+
+	target, err := cl.AddWorker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := core.Migrate(target, cl.Catalog, core.MigrateSpec{Table: 1, Range: expr.KeyRange{Lo: 0, Hi: 30}}, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(st.Phase2Deletes + st.Phase2Inserts)
+	if want == 0 {
+		t.Fatalf("migration copied nothing in Phase 2: %+v", st)
+	}
+	if got := target.Obs().Counter("migrate.copied.tuples").Load(); got != want {
+		t.Fatalf("migrate.copied.tuples = %d, Phase2Deletes+Phase2Inserts %d", got, want)
 	}
 }
 

@@ -247,9 +247,6 @@ func (r *Recoverer) fetchRepairWindow(rep catalog.Replica, desc *tuple.Desc, lo,
 			Flags: wire.FlagHasInsGT | wire.FlagHasInsLE,
 			InsGT: lo - 1, InsLE: hi,
 		}
-		if r.noPrune {
-			req.Flags |= wire.FlagNoPrune
-		}
 		err := r.streamFrom(r.mustAddr(src.Buddy), req, desc, nil,
 			func(rows []tuple.Tuple) error {
 				for _, t := range rows {
@@ -277,12 +274,6 @@ func (r *Recoverer) repairPlace(tb *storage.Table, targets []int32, rows []tuple
 		seg := heap.SegmentFor(pno)
 		pid := page.ID{Table: heap.TableID(), PageNo: pno}
 		img := page.New(pid, heap.TupleWidth())
-		type placedRow struct {
-			key  int64
-			slot int
-			ins  tuple.Timestamp
-			del  tuple.Timestamp
-		}
 		var placed []placedRow
 		for seg >= 0 && i < len(rows) {
 			t := rows[i]
@@ -297,27 +288,7 @@ func (r *Recoverer) repairPlace(tb *storage.Table, targets []int32, rows []tuple
 			return fmt.Errorf("%w: reformat page %d: %v", errLocalApply, pno, err)
 		}
 		r.Site.Store.MarkFreeSlot(heap.TableID(), pno)
-		var minIns, maxIns, maxDel tuple.Timestamp
-		for _, p := range placed {
-			tb.Index.Add(p.key, page.RecordID{Page: pid, Slot: p.slot})
-			if p.ins > 0 && p.ins != tuple.Uncommitted {
-				if minIns == 0 || p.ins < minIns {
-					minIns = p.ins
-				}
-				if p.ins > maxIns {
-					maxIns = p.ins
-				}
-			}
-			if p.del > maxDel {
-				maxDel = p.del
-			}
-		}
-		if minIns > 0 {
-			heap.OnCommitStamp(seg, minIns, 0)
-		}
-		if maxIns > 0 || maxDel > 0 {
-			heap.OnCommitStamp(seg, maxIns, maxDel)
-		}
+		notePlaced(tb, seg, pid, placed)
 	}
 	if i < len(rows) {
 		if err := r.localInsertBatch(tb, rows[i:]); err != nil {

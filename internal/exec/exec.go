@@ -53,9 +53,6 @@ type SegmentSelection struct {
 	segs       []int32
 }
 
-// AllSegments selects every segment (same as the zero value).
-func AllSegments() SegmentSelection { return SegmentSelection{} }
-
 // SegmentsOf restricts the scan to exactly the listed segments. A nil or
 // empty list scans nothing.
 func SegmentsOf(segs []int32) SegmentSelection {

@@ -230,9 +230,6 @@ type RecoveryParams struct {
 	// distinct historical segments (Figure 6-5's x-axis), replacing an
 	// equal number of insert transactions.
 	HistoricalSegmentUpdates int
-	// DisablePruning turns off §4.2 segment pruning in HARBOR recovery —
-	// the ablation quantifying what the segment architecture buys.
-	DisablePruning bool
 }
 
 // RecoveryResult is one recovery measurement.
@@ -399,8 +396,7 @@ func RunRecoveryBench(baseDir string, p RecoveryParams) (RecoveryResult, error) 
 		}
 	} else {
 		stats, err := core.New(w, cl.Catalog).RecoverSite(core.Options{
-			Parallel:       p.Scenario != Harbor2TablesSerial,
-			DisablePruning: p.DisablePruning,
+			Parallel: p.Scenario != Harbor2TablesSerial,
 		})
 		if err != nil {
 			return res, err

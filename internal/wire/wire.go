@@ -162,9 +162,6 @@ const (
 	FlagHasInsGT
 	// FlagHasDelGT marks the DelGT bound present.
 	FlagHasDelGT
-	// FlagNoPrune disables segment pruning on a recovery scan (ablation
-	// benchmarks measuring the value of the §4.2 segment architecture).
-	FlagNoPrune
 	// FlagKnown on a TXN-STATE outcome reply marks the coordinator as
 	// actually having recorded the outcome; without it the transaction is
 	// unknown or still in flight and FlagYes carries no information.

@@ -301,75 +301,16 @@ func (s *Site) SetObjectSegments(table int32, bounds []int64, st ObjState, copie
 	s.writeObjStates(data)
 }
 
-// SetObjectState transitions every segment of one object uniformly and
-// persists the table (installing the degenerate full-range segment if the
-// object has none). Recovery (core.Recoverer) drives the transitions;
-// copiedThrough must only be advanced after the corresponding window is
-// durably flushed.
-func (s *Site) SetObjectState(table int32, st ObjState, copiedThrough tuple.Timestamp) {
-	s.objMu.Lock()
-	if s.objs == nil {
-		s.objs = map[int32]objStatus{}
-	}
-	o := s.objs[table]
-	if len(o.segs) == 0 {
-		o.segs = []segStatus{fullSeg(st, copiedThrough)}
-	} else {
-		for i := range o.segs {
-			o.segs[i].state = st
-			o.segs[i].copiedThrough = copiedThrough
-		}
-	}
-	s.objs[table] = o
-	data := s.renderObjStatesLocked()
-	s.objMu.Unlock()
-	s.writeObjStates(data)
-}
-
-// SetSegmentState transitions the segment whose range is exactly rng (as
-// previously installed by SetObjectSegments and read back via
-// ObjectSegments). A range that matches no segment exactly falls back to
-// every segment it intersects — conservative, and only reachable if the
-// boundaries changed underneath the caller.
-func (s *Site) SetSegmentState(table int32, rng expr.KeyRange, st ObjState, copiedThrough tuple.Timestamp) {
-	s.objMu.Lock()
-	if s.objs == nil {
-		s.objs = map[int32]objStatus{}
-	}
-	o := s.objs[table]
-	if len(o.segs) == 0 {
-		o.segs = []segStatus{{rng: rng, state: st, copiedThrough: copiedThrough}}
-	} else {
-		exact := false
-		for i := range o.segs {
-			if o.segs[i].rng == rng {
-				o.segs[i].state = st
-				o.segs[i].copiedThrough = copiedThrough
-				exact = true
-				break
-			}
-		}
-		if !exact {
-			for i := range o.segs {
-				if !o.segs[i].rng.Intersect(rng).Empty() {
-					o.segs[i].state = st
-					o.segs[i].copiedThrough = copiedThrough
-				}
-			}
-		}
-	}
-	s.objs[table] = o
-	data := s.renderObjStatesLocked()
-	s.objMu.Unlock()
-	s.writeObjStates(data)
-}
-
 // CarveSegmentState splits an object's segment boundaries at rng's bounds
 // so the range is tiled by whole segments, then transitions exactly those
-// segments, leaving every segment outside rng untouched. Migration uses it:
-// the incoming range demotes to NeedsRecovery and later promotes to Ready
-// without perturbing ranges the site already serves. An object the table
-// doesn't know starts from the site's default segment.
+// segments, leaving every segment outside rng untouched, and persists the
+// table. It is the one recovery-state setter: recovery (core.Recoverer)
+// passes a shard installed by SetObjectSegments or the full key range (the
+// whole object), migration the incoming range, which demotes to
+// NeedsRecovery and later promotes to Ready without perturbing ranges the
+// site already serves. copiedThrough must only be advanced after the
+// corresponding window is durably flushed. An object the table doesn't
+// know starts from the site's default segment.
 func (s *Site) CarveSegmentState(table int32, rng expr.KeyRange, st ObjState, copiedThrough tuple.Timestamp) {
 	if rng.Empty() {
 		return

@@ -95,7 +95,7 @@ func TestObjectStateGatesWireReads(t *testing.T) {
 
 	// Mid historical copy with horizon preTS: historical reads at or below
 	// the horizon serve, anything past it — and any current read — refuses.
-	w.SetObjectState(1, worker.ObjHistoricalCopy, preTS)
+	w.CarveSegmentState(1, expr.FullKeyRange(), worker.ObjHistoricalCopy, preTS)
 	if m := scan(exec.Historical, preTS); m.Type != wire.MsgScanEnd {
 		t.Fatalf("historical scan at the copied horizon answered %v (%s), want a served stream", m.Type, m.Text)
 	} else if m.Count != 5 {
@@ -133,7 +133,7 @@ func TestObjectStateGatesWireReads(t *testing.T) {
 
 	// Ready: everything serves again, recovery scans included, and the
 	// bitmap flips.
-	w.SetObjectState(1, worker.ObjReady, preTS)
+	w.CarveSegmentState(1, expr.FullKeyRange(), worker.ObjReady, preTS)
 	if m := scan(exec.Current, 0); m.Type != wire.MsgScanEnd {
 		t.Fatalf("current scan of Ready object answered %v (%s), want a served stream", m.Type, m.Text)
 	}
@@ -187,7 +187,7 @@ func TestSegmentStateGatesWireReads(t *testing.T) {
 
 	// The low segment finishes its historical copy through preTS; the high
 	// segment hasn't started. Only reads confined to the low range serve.
-	w.SetSegmentState(1, low, worker.ObjHistoricalCopy, preTS)
+	w.CarveSegmentState(1, low, worker.ObjHistoricalCopy, preTS)
 	if m := scan(exec.Historical, preTS, expr.KeyRange{Lo: 0, Hi: 200}); m.Type != wire.MsgScanEnd {
 		t.Fatalf("historical scan of the copied segment answered %v (%s), want a served stream", m.Type, m.Text)
 	}
@@ -233,7 +233,7 @@ func TestSegmentStateGatesWireReads(t *testing.T) {
 
 	// Catchup with a drained horizon ≥ the start timestamp serves current
 	// reads on that segment; a later start timestamp still refuses.
-	w.SetSegmentState(1, low, worker.ObjCatchup, preTS)
+	w.CarveSegmentState(1, low, worker.ObjCatchup, preTS)
 	if m := scan(exec.Current, preTS, expr.KeyRange{Lo: 0, Hi: 200}); m.Type != wire.MsgScanEnd {
 		t.Fatalf("current scan of a drained Catchup segment answered %v (%s), want a served stream", m.Type, m.Text)
 	}
@@ -246,8 +246,8 @@ func TestSegmentStateGatesWireReads(t *testing.T) {
 
 	// Both segments Ready: the full range serves again and the ping bitmap
 	// carries one entry per segment.
-	w.SetSegmentState(1, low, worker.ObjReady, preTS)
-	w.SetSegmentState(1, high, worker.ObjReady, preTS)
+	w.CarveSegmentState(1, low, worker.ObjReady, preTS)
+	w.CarveSegmentState(1, high, worker.ObjReady, preTS)
 	if m := scan(exec.Current, 0, full); m.Type != wire.MsgScanEnd {
 		t.Fatalf("full-range current scan after both segments Ready answered %v (%s), want a served stream", m.Type, m.Text)
 	} else if m.Count != 8 {
@@ -410,13 +410,13 @@ func TestWriteGateFaultIn(t *testing.T) {
 	}
 
 	// Catchup accepts writes — no refusal, no fault-in.
-	w.SetObjectState(1, worker.ObjCatchup, preTS)
+	w.CarveSegmentState(1, expr.FullKeyRange(), worker.ObjCatchup, preTS)
 	if m, err := c.Call(&wire.Msg{Type: wire.MsgInsert, Txn: 901, Table: 1,
 		Tuple: wire.TupleValues(mk(8, 0))}); err != nil || m.Type != wire.MsgOK {
 		t.Fatalf("insert into Catchup segment answered %v (%v), want OK", m, err)
 	}
 	// Ready accepts too.
-	w.SetObjectState(1, worker.ObjReady, preTS)
+	w.CarveSegmentState(1, expr.FullKeyRange(), worker.ObjReady, preTS)
 	if m, err := c.Call(&wire.Msg{Type: wire.MsgInsert, Txn: 901, Table: 1,
 		Tuple: wire.TupleValues(mk(9, 0))}); err != nil || m.Type != wire.MsgOK {
 		t.Fatalf("insert into Ready segment answered %v (%v), want OK", m, err)

@@ -174,15 +174,6 @@ func TestWireRecoveryScanPrunesToNothing(t *testing.T) {
 	if rows := drainScan(t, c); len(rows) != 0 {
 		t.Fatalf("pruned recovery scan returned %d rows", len(rows))
 	}
-	// The ablation flag forces the full scan but the predicate still
-	// filters everything out.
-	msg.Flags |= wire.FlagNoPrune
-	if err := c.Send(msg); err != nil {
-		t.Fatal(err)
-	}
-	if rows := drainScan(t, c); len(rows) != 0 {
-		t.Fatalf("unpruned recovery scan matched %d rows", len(rows))
-	}
 }
 
 func TestWireRecoveryScanKeyRange(t *testing.T) {

@@ -756,9 +756,6 @@ func (s *Site) streamRecoveryScan(c *comm.Conn, m *wire.Msg) error {
 	// SegmentPlan returns nil when the timestamp bounds prune every segment;
 	// SegmentsOf represents that "scan nothing" plan directly.
 	sel := exec.SegmentsOf(tb.Heap.SegmentPlan(insLE, insGT, delGT, false))
-	if m.Flags&wire.FlagNoPrune != 0 {
-		sel = exec.AllSegments() // ablation: scan every segment
-	}
 	keysOnly := m.Flags&wire.FlagYes != 0
 	spec := exec.ScanSpec{
 		Table:    m.Table,

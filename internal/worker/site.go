@@ -288,7 +288,7 @@ func Open(cfg Config) (*Site, error) {
 		}
 		for _, rep := range cfg.Catalog.ReplicasOn(cfg.Site) {
 			if !known[rep.Table] {
-				s.SetObjectState(rep.Table, ObjNeedsRecovery, 0)
+				s.CarveSegmentState(rep.Table, expr.FullKeyRange(), ObjNeedsRecovery, 0)
 				known[rep.Table] = true
 			}
 		}
