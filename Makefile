@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-smoke bench-agg bench-recovery bench-rebalance chaos soak smoke
+.PHONY: all build test race vet check bench bench-smoke bench-recovery bench-rebalance chaos soak smoke
 
 all: check
 
@@ -49,11 +49,6 @@ bench:
 # yardstick.
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-
-# Aggregate pushdown vs ship-every-row ablation: the 100k-row 4-site
-# grouped sum. Regenerates BENCH_agg.json.
-bench-agg:
-	$(GO) run ./cmd/harbor-bench agg -iters 5 | tee BENCH_agg.json
 
 # MTTR split of per-object recovery: time until the first historical query
 # is answered by a recovering multi-object site vs time until full catch-up.

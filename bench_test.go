@@ -51,9 +51,9 @@ func BenchmarkTable42_ProtocolCosts(b *testing.B) {
 			if err := cl.CreateReplicatedTable(1, desc, 64); err != nil {
 				b.Fatal(err)
 			}
-			cl.Coord.ResetCounters()
+			cl.Coord.Obs().Reset()
 			for _, w := range cl.Workers {
-				w.ResetCounters()
+				w.Obs().Reset()
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -67,10 +67,10 @@ func BenchmarkTable42_ProtocolCosts(b *testing.B) {
 			}
 			b.StopTimer()
 			want := c.protocol.ExpectedCost()
-			coordFW := float64(cl.Coord.ForcedWrites()) / float64(b.N)
+			coordFW := float64(cl.Coord.Obs().Snapshot().Counters["wal.force_calls"]) / float64(b.N)
 			var workerFW float64
 			for _, w := range cl.Workers {
-				workerFW += float64(w.ForcedWrites())
+				workerFW += float64(w.Obs().Snapshot().Counters["wal.force_calls"])
 			}
 			workerFW /= float64(2 * b.N)
 			b.ReportMetric(coordFW, "coordFW/txn")

@@ -11,7 +11,6 @@
 //	harbor-bench fig65 [-txns 2000]
 //	harbor-bench fig66
 //	harbor-bench fig67 [-seconds 12]
-//	harbor-bench agg [-rows 100000] [-iters 5]
 //	harbor-bench recovery [-rows 100000] [-objects 4]
 //	harbor-bench rebalance [-rows 64000] [-seconds 6]
 //	harbor-bench all
@@ -48,8 +47,7 @@ func main() {
 	segments := fs.Int("segments", 20, "preloaded segments per table (fig64/65/66)")
 	segPages := fs.Int("segpages", 64, "pages per segment")
 	seconds := fs.Int("seconds", 12, "timeline length (fig67)")
-	rows := fs.Int("rows", 100000, "table cardinality (agg, recovery, rebalance)")
-	iters := fs.Int("iters", 3, "timed query repetitions (agg)")
+	rows := fs.Int("rows", 100000, "table cardinality (recovery, rebalance)")
 	objects := fs.Int("objects", 4, "tables on the recovering site (recovery)")
 	_ = fs.Parse(os.Args[2:])
 
@@ -77,13 +75,11 @@ func main() {
 		err = runFig66(*segments, int32(*segPages), *txns)
 	case "fig67":
 		err = runFig67(time.Duration(*seconds) * time.Second)
-	case "agg":
-		err = runAgg(*rows, *iters)
 	case "recovery":
 		err = runRecovery(*rows, *objects)
 	case "rebalance":
 		r := *rows
-		if r == 100000 { // flag default is the agg and recovery benches' cardinality
+		if r == 100000 { // flag default is the recovery bench's cardinality
 			r = 64000
 		}
 		s := *seconds
@@ -104,7 +100,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: harbor-bench <table42|table41|protocols|fig62|fig63|fig64|fig65|fig66|fig67|agg|recovery|rebalance|all> [flags]`)
+	fmt.Fprintln(os.Stderr, `usage: harbor-bench <table42|table41|protocols|fig62|fig63|fig64|fig65|fig66|fig67|recovery|rebalance|all> [flags]`)
 }
 
 func parseInts(s string) []int {
@@ -166,9 +162,9 @@ func runTable42() error {
 			cl.Close()
 			return err
 		}
-		cl.Coord.ResetCounters()
+		cl.Coord.Obs().Reset()
 		for _, w := range cl.Workers {
-			w.ResetCounters()
+			w.Obs().Reset()
 		}
 		const n = 50
 		for i := 0; i < n; i++ {
@@ -182,10 +178,10 @@ func runTable42() error {
 				return err
 			}
 		}
-		coordFW := float64(cl.Coord.ForcedWrites()) / n
+		coordFW := float64(cl.Coord.Obs().Snapshot().Counters["wal.force_calls"]) / n
 		var workerFW float64
 		for _, w := range cl.Workers {
-			workerFW += float64(w.ForcedWrites())
+			workerFW += float64(w.Obs().Snapshot().Counters["wal.force_calls"])
 		}
 		workerFW /= 2 * n
 		want := protocol.ExpectedCost()

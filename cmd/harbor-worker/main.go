@@ -59,7 +59,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "harbor-worker:", err)
 		os.Exit(2)
 	}
-	w, err := worker.Open(worker.Config{
+	// core.OpenSite arms online torn-page repair: a read tripping a CRC
+	// failure kicks off a background repair-from-buddy instead of leaving
+	// the page dead.
+	w, err := core.OpenSite(worker.Config{
 		Site:            catalog.SiteID(*site),
 		Dir:             *dir,
 		Addr:            *addr,
@@ -73,13 +76,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "harbor-worker:", err)
 		os.Exit(1)
 	}
-	// Arm online torn-page repair: a read tripping a CRC failure kicks off
-	// a background repair-from-buddy instead of leaving the page dead.
-	rec := core.New(w, cat)
-	w.SetRepairHook(func(table int32) error {
-		_, err := rec.RepairTable(table)
-		return err
-	})
 	fmt.Printf("harbor-worker: site %d serving on %s (protocol %s, mode %s)\n",
 		*site, w.Addr(), p, m)
 	if *debugAddr != "" {

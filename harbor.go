@@ -177,7 +177,7 @@ func Start(opts Options) (*Cluster, error) {
 	c := &Cluster{opts: opts, Catalog: cat}
 	for i := 0; i < opts.Workers; i++ {
 		site := catalog.SiteID(i + 1)
-		w, err := worker.Open(worker.Config{
+		w, err := core.OpenSite(worker.Config{
 			Site:            site,
 			Dir:             filepath.Join(opts.Dir, fmt.Sprintf("site%d", site)),
 			Protocol:        opts.Protocol,
@@ -307,7 +307,7 @@ func (c *Cluster) RecoverWorker(i int) (*core.SiteStats, error) {
 	if !old.Crashed() {
 		return nil, fmt.Errorf("harbor: worker %d has not crashed", i)
 	}
-	w, err := worker.Open(worker.Config{
+	w, err := core.OpenSite(worker.Config{
 		Site:            old.Cfg.Site,
 		Dir:             old.Cfg.Dir,
 		Protocol:        c.opts.Protocol,

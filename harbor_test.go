@@ -2,11 +2,14 @@ package harbor_test
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"harbor"
 	"harbor/internal/exec"
+	"harbor/internal/page"
 )
 
 func startCluster(t *testing.T, opts harbor.Options) *harbor.Cluster {
@@ -140,6 +143,66 @@ func TestPublicAPICrashAndRecover(t *testing.T) {
 	}
 	if _, err := c.RecoverWorker(0); err == nil {
 		t.Fatal("recovering a live worker should fail")
+	}
+}
+
+// TestPublicAPIRepairsTornPageOnline: a flushed heap page corrupted under a
+// running worker of a harbor.Cluster is restored from its buddy in the
+// background once a Query trips the page's CRC check, with no
+// RecoverWorker in between.
+func TestPublicAPIRepairsTornPageOnline(t *testing.T) {
+	c := startCluster(t, harbor.Options{Workers: 2, CheckpointEvery: time.Hour})
+	if err := c.CreateTable(1, productSchema); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 20; i++ {
+		tx := c.Begin()
+		if err := tx.Insert(1, harbor.Row(productSchema, harbor.Int(i), harbor.Str("x"), harbor.Int(1))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Flush the table and drop the cache, so the next read of page 0 comes
+	// from disk, then flip bytes inside that page.
+	w := c.Worker(0)
+	if err := w.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	w.Pool.DiscardAll()
+	f, err := os.OpenFile(filepath.Join(w.Cfg.Dir, "table_1.heap"), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	junk := make([]byte, 16)
+	for i := range junk {
+		junk[i] = 0xA5
+	}
+	_, err = f.WriteAt(junk, page.Size/2)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rows, err := c.Query(1, harbor.Query{})
+	if err != nil {
+		t.Fatalf("query should fail over to the healthy replica: %v", err)
+	}
+	if len(rows) != 20 {
+		t.Fatalf("rows = %d, want 20", len(rows))
+	}
+	tb, err := w.Mgr.Get(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for w.Obs().Counter("recover.page_repairs").Load() == 0 || len(tb.Heap.QuarantinedPages()) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("torn page not repaired online: page_repairs = %d, quarantined = %v",
+				w.Obs().Counter("recover.page_repairs").Load(), tb.Heap.QuarantinedPages())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

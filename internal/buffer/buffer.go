@@ -408,12 +408,6 @@ func (bp *Pool) DiscardAll() {
 	bp.frames = make(map[page.ID]*Frame, bp.capacity)
 }
 
-// Stats returns (hits, misses, evictions, flushes) — a compatibility shim
-// over the registry-backed counters.
-func (bp *Pool) Stats() (hits, misses, evictions, flushes int64) {
-	return bp.hits.Load(), bp.misses.Load(), bp.evictions.Load(), bp.flushes.Load()
-}
-
 // NumFrames returns the number of resident frames.
 func (bp *Pool) NumFrames() int {
 	bp.mu.Lock()

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"harbor/internal/lockmgr"
+	"harbor/internal/obs"
 	"harbor/internal/page"
 )
 
@@ -63,9 +64,18 @@ func (s *memStore) BeforeFlush(pid page.ID, lsn page.LSN) error {
 
 func pid(n int32) page.ID { return page.ID{Table: 1, PageNo: n} }
 
+// instrument binds bp to a fresh registry, so a test reads the buffer.*
+// counters the way a site's metrics snapshot does.
+func instrument(bp *Pool) *obs.Registry {
+	reg := obs.NewRegistry()
+	bp.Instrument(reg)
+	return reg
+}
+
 func TestGetPageCachesAndPins(t *testing.T) {
 	st := newMemStore(64, 4, 1)
 	bp := New(st, nil, 4, StealNoForce)
+	reg := instrument(bp)
 	f, err := bp.GetPageNoLock(pid(0))
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +87,7 @@ func TestGetPageCachesAndPins(t *testing.T) {
 	if f != f2 {
 		t.Fatal("same page produced two frames")
 	}
-	hits, misses, _, _ := bp.Stats()
+	hits, misses := reg.Counter("buffer.hits").Load(), reg.Counter("buffer.misses").Load()
 	if hits != 1 || misses != 1 {
 		t.Fatalf("hits=%d misses=%d", hits, misses)
 	}
@@ -88,6 +98,7 @@ func TestGetPageCachesAndPins(t *testing.T) {
 func TestEvictionPrefersClean(t *testing.T) {
 	st := newMemStore(64, 4, 1)
 	bp := New(st, nil, 2, StealNoForce)
+	reg := instrument(bp)
 	fa, _ := bp.GetPageNoLock(pid(0))
 	// Dirty page 0.
 	fa.Latch.Lock()
@@ -104,7 +115,7 @@ func TestEvictionPrefersClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	bp.Unpin(fc, false, 0)
-	_, _, evictions, flushes := bp.Stats()
+	evictions, flushes := reg.Counter("buffer.evictions").Load(), reg.Counter("buffer.flushes").Load()
 	if evictions != 1 || flushes != 0 {
 		t.Fatalf("evictions=%d flushes=%d; expected clean eviction", evictions, flushes)
 	}
@@ -116,6 +127,7 @@ func TestEvictionPrefersClean(t *testing.T) {
 func TestStealFlushesDirtyVictim(t *testing.T) {
 	st := newMemStore(64, 4, 1)
 	bp := New(st, nil, 1, StealNoForce)
+	reg := instrument(bp)
 	fa, _ := bp.GetPageNoLock(pid(0))
 	fa.Latch.Lock()
 	if _, err := fa.Page.Insert(make([]byte, 64)); err != nil {
@@ -129,7 +141,7 @@ func TestStealFlushesDirtyVictim(t *testing.T) {
 		t.Fatal(err)
 	}
 	bp.Unpin(fb, false, 0)
-	_, _, _, flushes := bp.Stats()
+	flushes := reg.Counter("buffer.flushes").Load()
 	if flushes != 1 {
 		t.Fatalf("flushes=%d, expected stolen flush", flushes)
 	}

@@ -846,9 +846,9 @@ func (h *Harness) checkInvariants(res *Result) {
 }
 
 // checkAggregates is the post-heal aggregate invariant: a pushed-down
-// group-by-v aggregate over the streams table must match both the
-// NoPushdown ablation (the same algebra over coordinator-shipped rows) and
-// the group values derived from the expected logical state. The fault era
+// group-by-v aggregate over the streams table must match both the reference
+// aggregate over a Scan at the same AsOf and the group values derived from
+// the expected logical state. The fault era
 // alternated scans and pushed-down aggregates against stalls, crashes, and
 // throttled buddies (see ScanStall); whatever failovers those queries took,
 // the slot discard-and-refetch rule must leave no group lost or
@@ -876,22 +876,21 @@ func (h *Harness) checkAggregates(expected map[tkey]repRow, hwm tuple.Timestamp)
 		h.violatef("aggregate invariant: pushdown aggregate failed post-heal: %v", err)
 		return
 	}
-	ablOpt := opt
-	ablOpt.NoPushdown = true
-	abl, err := h.Cl.Coord.Aggregate(tableStreams, ablOpt, plan)
+	rows, err := h.Cl.Coord.Scan(tableStreams, opt)
 	if err != nil {
-		h.violatef("aggregate invariant: ablation aggregate failed post-heal: %v", err)
+		h.violatef("aggregate invariant: reference scan failed post-heal: %v", err)
 		return
 	}
-	if len(push) != len(abl) {
-		h.violatef("aggregate invariant: pushdown returns %d groups, ablation returns %d", len(push), len(abl))
+	ref := testutil.RefAggregate(rows, plan)
+	if len(push) != len(ref) {
+		h.violatef("aggregate invariant: pushdown returns %d groups, reference returns %d", len(push), len(ref))
 		return
 	}
 	for i, row := range push {
 		key, cnt, sum := row.Values[0].I64, row.Values[1].I64, row.Values[2].I64
-		a := abl[i]
+		a := ref[i]
 		if a.Values[0].I64 != key || a.Values[1].I64 != cnt || a.Values[2].I64 != sum {
-			h.violatef("aggregate invariant: group %d pushdown (v=%d count=%d sum=%d) != ablation (v=%d count=%d sum=%d)",
+			h.violatef("aggregate invariant: group %d pushdown (v=%d count=%d sum=%d) != reference (v=%d count=%d sum=%d)",
 				i, key, cnt, sum, a.Values[0].I64, a.Values[1].I64, a.Values[2].I64)
 		}
 		w, ok := want[key]

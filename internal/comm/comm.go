@@ -325,13 +325,6 @@ func (s *Server) Close() error {
 // burst of concurrent transactions cannot grow the idle set without bound.
 const DefaultMaxIdle = 16
 
-// PoolStats reports a pool's lifetime connection accounting.
-type PoolStats struct {
-	Dials    int64 // connections dialed because no idle one existed
-	Reuses   int64 // Gets served from the idle list
-	Discards int64 // connections closed by Put (over cap) or Discard
-}
-
 // Pool is a small client-connection pool per remote address; coordinators
 // recycle connections for subsequent transactions (§6.1.6).
 type Pool struct {
@@ -342,9 +335,10 @@ type Pool struct {
 	maxIdle     int
 	dialTimeout time.Duration
 
-	// Registry-backed counters (comm.dials, comm.reuses, comm.discards,
-	// optionally labelled {site=N}); rebindable via Instrument. Stats() is a
-	// compatibility shim over them.
+	// Registry-backed counters, optionally labelled {site=N}; rebindable
+	// via Instrument: comm.dials (connections dialed because no idle one
+	// existed), comm.reuses (Gets served from the idle list) and
+	// comm.discards (connections closed by Put over the cap, or Discard).
 	dials, reuses, discards *obs.Counter
 }
 
@@ -384,11 +378,6 @@ func (p *Pool) SetMaxIdle(n int) {
 	p.mu.Lock()
 	p.maxIdle = n
 	p.mu.Unlock()
-}
-
-// Stats returns the pool's connection accounting.
-func (p *Pool) Stats() PoolStats {
-	return PoolStats{Dials: p.dials.Load(), Reuses: p.reuses.Load(), Discards: p.discards.Load()}
 }
 
 // Get returns an idle connection (marked Reused) or dials a new one. A

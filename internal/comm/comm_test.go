@@ -7,8 +7,17 @@ import (
 	"testing"
 	"time"
 
+	"harbor/internal/obs"
 	"harbor/internal/wire"
 )
+
+// poolCounters binds p to a fresh registry and returns its dial, reuse and
+// discard counters, as a coordinator's metrics snapshot reads them.
+func poolCounters(p *Pool) (dials, reuses, discards *obs.Counter) {
+	reg := obs.NewRegistry()
+	p.Instrument(reg, "")
+	return reg.Counter("comm.dials"), reg.Counter("comm.reuses"), reg.Counter("comm.discards")
+}
 
 // echoHandler responds OK to pings and echoes text otherwise.
 func echoHandler(c *Conn) {
@@ -126,6 +135,7 @@ func TestPoolCapsIdleConnections(t *testing.T) {
 	s := startEcho(t)
 	p := NewPool(s.Addr())
 	defer p.CloseAll()
+	dials, _, discards := poolCounters(p)
 	p.SetMaxIdle(2)
 	// Check out 5 connections concurrently, then return them all: only 2
 	// may be parked, the rest must be closed and counted as discards.
@@ -140,12 +150,11 @@ func TestPoolCapsIdleConnections(t *testing.T) {
 	for _, c := range conns {
 		p.Put(c)
 	}
-	st := p.Stats()
-	if st.Dials != 5 {
-		t.Fatalf("dials = %d, want 5", st.Dials)
+	if n := dials.Load(); n != 5 {
+		t.Fatalf("dials = %d, want 5", n)
 	}
-	if st.Discards != 3 {
-		t.Fatalf("discards = %d, want 3 (idle cap 2)", st.Discards)
+	if n := discards.Load(); n != 3 {
+		t.Fatalf("discards = %d, want 3 (idle cap 2)", n)
 	}
 	p.mu.Lock()
 	idle := len(p.idle)
@@ -159,6 +168,7 @@ func TestPoolStatsCountReuse(t *testing.T) {
 	s := startEcho(t)
 	p := NewPool(s.Addr())
 	defer p.CloseAll()
+	dials, reuses, discards := poolCounters(p)
 	c, err := p.Get()
 	if err != nil {
 		t.Fatal(err)
@@ -171,17 +181,16 @@ func TestPoolStatsCountReuse(t *testing.T) {
 		}
 		p.Put(c)
 	}
-	st := p.Stats()
-	if st.Dials != 1 || st.Reuses != 3 {
-		t.Fatalf("stats = %+v, want 1 dial / 3 reuses", st)
+	if d, r := dials.Load(), reuses.Load(); d != 1 || r != 3 {
+		t.Fatalf("%d dials / %d reuses, want 1 dial / 3 reuses", d, r)
 	}
 	bad, err := p.Get()
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Discard(bad)
-	if st := p.Stats(); st.Discards != 1 {
-		t.Fatalf("discards = %d, want 1", st.Discards)
+	if n := discards.Load(); n != 1 {
+		t.Fatalf("discards = %d, want 1", n)
 	}
 }
 

@@ -35,9 +35,10 @@ func aggPlans() map[string]exec.AggPlan {
 }
 
 // TestAggregateEquivalence: pushed-down aggregation must be byte-identical
-// to a reference aggregate over the merged scan — and to the NoPushdown
-// ablation — across replicated/partitioned × current/historical ×
-// predicate/no-predicate × grouped/global shapes.
+// to a reference aggregate over the merged scan across replicated/
+// partitioned × current/historical × predicate/no-predicate ×
+// grouped/global shapes. It also pins the pushdown's traffic: an aggregate
+// ships no rows, and at most one partial state per result group per slot.
 func TestAggregateEquivalence(t *testing.T) {
 	cl := newCluster(t, txn.OptThreePC, worker.HARBOR, 4)
 	if err := cl.CreateRangePartitionedTable(2, testDesc(), 4, 250, 500, 750); err != nil {
@@ -73,7 +74,15 @@ func TestAggregateEquivalence(t *testing.T) {
 		{"partitioned/key-range-historical", 2, coord.QueryOptions{Historical: true, AsOf: asOf2, Pred: acrossSeams}},
 		{"partitioned/one-key", 2, coord.QueryOptions{Pred: oneKey}},
 	}
+	reg := cl.Coord.Obs()
+	scanRows, shipped := reg.Counter("coord.scan.rows"), reg.Counter("coord.agg.rows_shipped")
 	for _, tc := range cases {
+		// Upper bound on the read plan's slots: the table's replica count
+		// when partitioned, one full replica otherwise.
+		slots := int64(1)
+		if tc.table == 2 {
+			slots = 4
+		}
 		rows, err := cl.Coord.Scan(tc.table, tc.opt)
 		if err != nil {
 			t.Fatalf("%s: scan: %v", tc.label, err)
@@ -84,18 +93,19 @@ func TestAggregateEquivalence(t *testing.T) {
 		for name, plan := range aggPlans() {
 			label := tc.label + "/" + name
 			want := testutil.RefAggregate(rows, plan)
+			rows0, shipped0 := scanRows.Load(), shipped.Load()
 			got, err := cl.Coord.Aggregate(tc.table, tc.opt, plan)
 			if err != nil {
 				t.Fatalf("%s: pushdown aggregate: %v", label, err)
 			}
 			requireSameRows(t, label+"/pushdown", got, want)
-			ablOpt := tc.opt
-			ablOpt.NoPushdown = true
-			abl, err := cl.Coord.Aggregate(tc.table, ablOpt, plan)
-			if err != nil {
-				t.Fatalf("%s: ablation aggregate: %v", label, err)
+			if d := scanRows.Load() - rows0; d != 0 {
+				t.Fatalf("%s: aggregate shipped %d rows through the scan path", label, d)
 			}
-			requireSameRows(t, label+"/ablation", abl, want)
+			if d, max := shipped.Load()-shipped0, int64(len(want))*slots; d > max {
+				t.Fatalf("%s: aggregate shipped %d partial states, want at most %d (%d groups x %d slots)",
+					label, d, max, len(want), slots)
+			}
 			if tc.label == "partitioned/empty" && len(got) != 0 {
 				t.Fatalf("%s: empty input produced %d groups", label, len(got))
 			}

@@ -7,15 +7,14 @@
 // order, so the answer is byte-identical to aggregating the merged scan on
 // one site, no matter how slots, sites, or failovers interleaved.
 //
-// Failover re-merge rule: a slot's partial states are buffered in a
-// slot-local table and merged into the query result only when that slot's
-// stream ends cleanly. If the site dies mid-stream the slot-local table is
-// discarded — partial states, unlike key-ordered rows, have no resume
-// point, since a group's state may be split across the delivered and
-// undelivered suffix — and a coverage plan from the survivors re-reads the
-// slot's whole key range. Discard-and-refetch per slot means a group is
-// never double-counted and never lost: every key range is merged exactly
-// once, from exactly one clean stream.
+// Failover re-merge rule: Aggregate reads through the same slot driver as
+// ScanStream, but a slot folds its frames into a slot-local table and
+// emits that table only after a clean end of stream. Partial states,
+// unlike key-ordered rows, have no resume point — a group's state may be
+// split across the delivered and undelivered suffix — so a slot whose site
+// dies has emitted nothing, and the driver re-reads its whole key range
+// from the survivors. Every key range is therefore merged exactly once,
+// from exactly one clean stream: no group is double-counted or lost.
 package coord
 
 import (
@@ -29,9 +28,7 @@ import (
 // Aggregate runs a grouped aggregate query over one logical table and
 // returns the finalised rows in ascending group-key order (the group
 // column first when plan.GroupField >= 0, then one Int64 column per
-// aggregate). Options behave as in Scan; NoPushdown ships rows instead of
-// partial states and aggregates at the coordinator (the ablation path —
-// identical results, O(rows) wire traffic).
+// aggregate). Options behave as in Scan.
 func (co *Coordinator) Aggregate(table int32, opt QueryOptions, plan exec.AggPlan) ([]tuple.Tuple, error) {
 	if len(plan.Aggs) == 0 {
 		return nil, fmt.Errorf("coord: aggregate with no aggregate columns")
@@ -52,21 +49,6 @@ func (co *Coordinator) Aggregate(table int32, opt QueryOptions, plan exec.AggPla
 	partial := plan.Partials()
 	final := exec.NewGroupTable(plan.GroupField, partial)
 
-	if opt.NoPushdown {
-		// Ablation: every row travels; the coordinator runs the same
-		// partial+final algebra over the merged scan.
-		err := co.ScanStream(table, opt, func(rows []tuple.Tuple) error {
-			for _, t := range rows {
-				final.Add(t)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return plan.Rows(final), nil
-	}
-
 	slots, q, err := co.planRead(table, opt)
 	if err != nil {
 		return nil, err
@@ -76,7 +58,7 @@ func (co *Coordinator) Aggregate(table int32, opt QueryOptions, plan exec.AggPla
 	for i, a := range partial {
 		aq.aggs[i] = wire.AggCol{Fn: uint8(a.Fn), Field: int32(a.Field)}
 	}
-	if err := aq.run(slots, final, 0); err != nil {
+	if err := aq.run(slots, final); err != nil {
 		return nil, err
 	}
 	return plan.Rows(final), nil
@@ -91,55 +73,27 @@ type aggQuery struct {
 	aggs    []wire.AggCol // partial, as the request's agg spec
 }
 
-// run fans the slots out concurrently (bounded by the fan-out limit),
-// merging each slot's partial states into final as the slot completes.
-// Merging is associative and commutative, so completion order is free;
-// determinism comes from the finalisation sort, not arrival order. A slot
-// whose site dies is replanned over the survivors for its whole key range
-// (see the failover re-merge rule above); depth bounds cascading failures.
-func (aq *aggQuery) run(slots []scanSlot, final *exec.GroupTable, depth int) error {
-	if len(slots) == 0 {
-		return nil
-	}
-	co := aq.co
-	type slotOut struct {
-		st  *exec.GroupTable
-		err error
-	}
-	results := fanEach(co.fanoutLimit(), slots, func(_ int, slot scanSlot) slotOut {
-		// Slot-local states: merged below only if the stream ended cleanly.
-		st := exec.NewGroupTable(aq.plan.GroupField, aq.partial)
-		req := aq.slotRequest(slot)
-		req.AggGroup, req.Aggs = int32(aq.plan.GroupField), aq.aggs
-		err := aq.readSlot(slot, req, wire.MsgAggBatch, func(resp *wire.Msg) (bool, error) {
-			return true, aq.mergeFrame(st, resp)
-		})
-		return slotOut{st, err}
-	})
-	for i, r := range results {
-		if r.err == nil {
-			// Clean end of stream: the slot's buffered states join the
-			// result exactly once.
-			if err := final.MergeTable(r.st); err != nil {
-				return err
+// run merges every slot's partial states into final. Each slot emits its
+// slot-local table once, after a clean end of stream, so a failed slot is
+// re-read whole (see the failover re-merge rule above). Merging is
+// associative and commutative; determinism comes from the finalisation
+// sort, not arrival order.
+func (aq *aggQuery) run(slots []scanSlot, final *exec.GroupTable) error {
+	d := &slotDriver[*exec.GroupTable]{q: aq.scanQuery, sink: final.MergeTable, failovers: aq.co.aggFailovers,
+		read: func(slot scanSlot, emit func(*exec.GroupTable) bool) error {
+			st := exec.NewGroupTable(aq.plan.GroupField, aq.partial)
+			req := aq.slotRequest(slot)
+			req.AggGroup, req.Aggs = int32(aq.plan.GroupField), aq.aggs
+			err := aq.readSlot(slot, req, wire.MsgAggBatch, func(resp *wire.Msg) (bool, error) {
+				return true, aq.mergeFrame(st, resp)
+			})
+			if err == nil {
+				emit(st)
 			}
-			continue
-		}
-		if depth >= 2 {
-			return r.err
-		}
-		// Discard-and-refetch: nothing of this slot was merged, so the
-		// replan re-reads its entire key range from the survivors.
-		co.aggFailovers.Inc()
-		sub, perr := aq.replan(slots[i], slots[i].rng)
-		if perr != nil {
-			return r.err // no surviving coverage: report the read error
-		}
-		if err := aq.run(sub, final, depth+1); err != nil {
 			return err
-		}
+		},
 	}
-	return nil
+	return d.readSlots(slots, 0)
 }
 
 // mergeFrame folds one MsgAggBatch frame of partial states into st.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"harbor/internal/comm"
+	"harbor/internal/obs"
 	"harbor/internal/wire"
 )
 
@@ -38,6 +39,8 @@ func TestBorrowRetriesStalePooledConn(t *testing.T) {
 	co := &Coordinator{}
 	p := comm.NewPool(s.Addr())
 	defer p.CloseAll()
+	reg := obs.NewRegistry()
+	p.Instrument(reg, "")
 
 	call := func(c *comm.Conn) error {
 		_, err := c.Call(&wire.Msg{Type: wire.MsgBegin})
@@ -66,9 +69,8 @@ func TestBorrowRetriesStalePooledConn(t *testing.T) {
 	if got := served.Load(); got != 2 {
 		t.Fatalf("server served %d calls, want 2", got)
 	}
-	st := p.Stats()
-	if st.Reuses != 1 || st.Dials != 2 {
-		t.Fatalf("pool stats %+v, want 1 reuse + 2 dials", st)
+	if r, d := reg.Counter("comm.reuses").Load(), reg.Counter("comm.dials").Load(); r != 1 || d != 2 {
+		t.Fatalf("pool counted %d reuses + %d dials, want 1 reuse + 2 dials", r, d)
 	}
 
 	// Negative control: when the site really is down, the fresh-dial retry

@@ -150,9 +150,15 @@ type Coordinator struct {
 	// per-site comm.* metrics) and a per-transaction tracer; cmds mount them
 	// at /debug/harbor, benches snapshot them, and the chaos harness dumps
 	// timelines from them on invariant failures.
-	reg      *obs.Registry
-	trace    *obs.Tracer
-	msgsSent *obs.Counter   // coord.msgs_sent (counting rule on Counters)
+	reg   *obs.Registry
+	trace *obs.Tracer
+	// msgsSent is coord.msgs_sent. Counting rule: it increments exactly
+	// once per *attempted* request send to a worker — whether or not the
+	// send or its response succeeds — and never for streamed per-tuple
+	// responses flowing back. Every send path (fan-out rounds, scans,
+	// per-txn dials, the join replay) follows this rule, so the counter is
+	// comparable across protocols and failure modes.
+	msgsSent *obs.Counter
 	commits  *obs.Counter   // coord.commits
 	aborts   *obs.Counter   // coord.aborts
 	commitNS *obs.Histogram // coord.commit.latency.ns (successful commits)
@@ -261,32 +267,6 @@ func (co *Coordinator) Obs() *obs.Registry { return co.reg }
 
 // Trace returns the coordinator's per-transaction tracer.
 func (co *Coordinator) Trace() *obs.Tracer { return co.trace }
-
-// Counters returns (messages sent to workers, commits, aborts).
-//
-// Counting rule: msgsSent increments exactly once per *attempted* request
-// send to a worker — whether or not the send or its response succeeds —
-// and never for streamed per-tuple responses flowing back. Every send path
-// (fan-out rounds, scans, per-txn dials, the join replay) follows this
-// rule, so the counter is comparable across protocols and failure modes.
-func (co *Coordinator) Counters() (int64, int64, int64) {
-	return co.msgsSent.Load(), co.commits.Load(), co.aborts.Load()
-}
-
-// ForcedWrites returns coordinator-log forced writes (0 when logless).
-func (co *Coordinator) ForcedWrites() int64 {
-	if co.log == nil {
-		return 0
-	}
-	fc, _, _ := co.log.Counters()
-	return fc
-}
-
-// ResetCounters zeroes evaluation counters. The coordinator log and the
-// per-site comm pools share the registry, so their counters reset too.
-func (co *Coordinator) ResetCounters() {
-	co.reg.Reset()
-}
 
 // pool returns (creating) the connection pool for a site. A site that
 // rebooted on a new address gets a fresh pool; stale idle connections to

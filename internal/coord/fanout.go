@@ -89,7 +89,7 @@ func (co *Coordinator) fanoutLimit() int {
 // cost model puts it. mk builds the request per target (returning one
 // shared message for all targets is fine; sends are sequential and only
 // read it). Every attempted send counts once toward msgsSent, success or
-// not — the counting rule documented on Counters().
+// not — the counting rule documented on Coordinator.msgsSent.
 //
 // Each conn is Reserved for the whole send→receive exchange: the §5.4.2
 // join replay shares a transaction's per-worker conns, and without the

@@ -433,11 +433,6 @@ type QueryOptions struct {
 	// PreferSite pins the read to one site when it holds the data
 	// (load-balancing hook); 0 lets the planner choose.
 	PreferSite catalog.SiteID
-	// NoPushdown makes Aggregate ship every qualifying row and aggregate
-	// at the coordinator instead of pushing partial aggregation down to the
-	// workers. Results are identical; the flag exists for the equivalence
-	// tests and the bench ablation.
-	NoPushdown bool
 }
 
 // Scan runs a read-only query over one logical table and materialises the
@@ -513,7 +508,7 @@ func (co *Coordinator) ScanStream(table int32, opt QueryOptions, sink func([]tup
 		return err
 	}
 	defer q.release()
-	return q.run(slots, sink, 0)
+	return q.run(slots, sink)
 }
 
 // planRead computes the slot assignment and invariant parameters shared by
@@ -610,65 +605,98 @@ func (q *scanQuery) replan(slot scanSlot, rng expr.KeyRange) ([]scanSlot, error)
 	return toSlots(plan), nil
 }
 
-// run streams the slots to sink in slot order. Readers launch strictly in
-// emission order under the fan-out limit (so the streams the merger needs
-// first always hold the semaphore slots), while the merger drains them in
-// the same order; later streams park against their bounded channels. depth
-// bounds cascading mid-stream failovers.
-func (q *scanQuery) run(slots []scanSlot, sink func([]tuple.Tuple) error, depth int) error {
+// run streams the slots to sink in slot order. Each reader emits its
+// decoded batches, so a failed slot resumes just past the last key it
+// emitted.
+func (q *scanQuery) run(slots []scanSlot, sink func([]tuple.Tuple) error) error {
+	desc := q.spec.Desc
+	d := &slotDriver[[]tuple.Tuple]{q: q, sink: sink,
+		read: func(slot scanSlot, emit func([]tuple.Tuple) bool) error {
+			return q.readSlot(slot, q.slotRequest(slot), wire.MsgTupleBatch, func(resp *wire.Msg) (bool, error) {
+				rows, err := q.decodeRows(resp)
+				if err != nil {
+					return false, err
+				}
+				return len(rows) == 0 || emit(rows), nil
+			})
+		},
+		last: func(rows []tuple.Tuple) int64 { return rows[len(rows)-1].Key(desc) },
+	}
+	return d.readSlots(slots, 0)
+}
+
+// slotDriver is the one read loop behind ScanStream and Aggregate: it fans
+// the slots out, merges what they emit in slot order, and fails a slot over
+// to the surviving replicas. What a slot emits sets the failover policy.
+type slotDriver[T any] struct {
+	q *scanQuery
+	// read streams one slot, handing each item to emit in key order; emit
+	// reports false once the merge has gone away.
+	read func(slot scanSlot, emit func(T) bool) error
+	// sink receives every emitted item on the caller's goroutine.
+	sink func(T) error
+	// last reports the highest key an emitted item delivered, so a failed
+	// slot resumes just past it. nil means items carry no resume point and
+	// a failed slot is re-read whole: the reader must then emit only after
+	// a clean end of stream (aggregate partial states).
+	last func(T) int64
+	// failovers, when set, counts the slots replanned after an error.
+	failovers *obs.Counter
+}
+
+// readSlots reads the slots and hands their items to sink in slot order.
+// Readers launch strictly in slot order under the fan-out limit (so the
+// streams the merger needs first always hold the semaphore slots), each
+// emitting through a channel bounded at slotStreamDepth, while the merger
+// drains them in the same order; later streams park against their channels.
+// A failed slot's remaining range is replanned over the survivors and read
+// in its place; depth bounds cascading failovers.
+func (d *slotDriver[T]) readSlots(slots []scanSlot, depth int) error {
 	if len(slots) == 0 {
 		return nil
 	}
 	type slotStream struct {
-		ch   chan []tuple.Tuple
+		ch   chan T
 		errc chan error
 	}
-	streams := make([]*slotStream, len(slots))
+	streams := make([]slotStream, len(slots))
 	for i := range streams {
-		streams[i] = &slotStream{ch: make(chan []tuple.Tuple, slotStreamDepth), errc: make(chan error, 1)}
+		streams[i] = slotStream{ch: make(chan T, slotStreamDepth), errc: make(chan error, 1)}
 	}
 	done := make(chan struct{})
 	defer close(done)
-	sem := make(chan struct{}, q.co.fanoutLimit())
+	sem := make(chan struct{}, d.q.co.fanoutLimit())
 	go func() {
-		for i := range slots {
+		for i, slot := range slots {
 			select {
 			case sem <- struct{}{}:
 			case <-done:
 				return
 			}
-			go func(i int) {
+			go func(st slotStream) {
 				defer func() { <-sem }()
-				err := q.readSlot(slots[i], q.slotRequest(slots[i]), wire.MsgTupleBatch,
-					func(resp *wire.Msg) (bool, error) {
-						rows, err := q.decodeRows(resp)
-						if err != nil {
-							return false, err
-						}
-						select {
-						case streams[i].ch <- rows:
-							return true, nil
-						case <-done:
-							return false, nil // merge abandoned
-						}
-					})
-				close(streams[i].ch)
-				streams[i].errc <- err
-			}(i)
+				err := d.read(slot, func(item T) bool {
+					select {
+					case st.ch <- item:
+						return true
+					case <-done:
+						return false // merge abandoned
+					}
+				})
+				close(st.ch)
+				st.errc <- err
+			}(streams[i])
 		}
 	}()
-	desc := q.spec.Desc
 	for i, slot := range slots {
 		st := streams[i]
 		emitted := false
 		var lastKey int64
-		for rows := range st.ch {
-			if len(rows) == 0 {
-				continue
+		for item := range st.ch {
+			if d.last != nil {
+				lastKey, emitted = d.last(item), true
 			}
-			lastKey = rows[len(rows)-1].Key(desc)
-			emitted = true
-			if err := sink(rows); err != nil {
+			if err := d.sink(item); err != nil {
 				return err
 			}
 		}
@@ -679,9 +707,9 @@ func (q *scanQuery) run(slots []scanSlot, sink func([]tuple.Tuple) error, depth 
 		if depth >= 2 {
 			return err
 		}
-		// Mid-stream failover: re-read only what the failed slot still owed.
-		// Workers stream in key order, so everything at or below lastKey was
-		// delivered; resume the range just past it.
+		// Re-read only what the failed slot still owed. Readers emit in key
+		// order, so everything at or below lastKey was delivered; resume the
+		// range just past it.
 		remaining := slot.rng
 		if emitted {
 			if lastKey == 1<<63-1 {
@@ -692,11 +720,14 @@ func (q *scanQuery) run(slots []scanSlot, sink func([]tuple.Tuple) error, depth 
 		if remaining.Empty() {
 			continue
 		}
-		sub, perr := q.replan(slot, remaining)
+		if d.failovers != nil {
+			d.failovers.Inc()
+		}
+		sub, perr := d.q.replan(slot, remaining)
 		if perr != nil {
 			return err // no surviving coverage: report the read error
 		}
-		if err := q.run(sub, sink, depth+1); err != nil {
+		if err := d.readSlots(sub, depth+1); err != nil {
 			return err
 		}
 	}
@@ -758,7 +789,7 @@ func (q *scanQuery) readSlot(slot scanSlot, req *wire.Msg, frame wire.Type, each
 	var resp *wire.Msg
 	conn, err := co.borrow(p, func(c *comm.Conn) error {
 		err := c.Send(req)
-		co.msgsSent.Add(1) // counted per attempted send (see Counters)
+		co.msgsSent.Add(1) // counted per attempted send (see msgsSent)
 		if err != nil {
 			return err
 		}
@@ -798,7 +829,7 @@ func (q *scanQuery) readSlot(slot scanSlot, req *wire.Msg, frame wire.Type, each
 		// transactions, the coordinator merely needs to notify the workers
 		// to release any system resources and locks").
 		_, err := conn.Call(&wire.Msg{Type: wire.MsgEndRead, Txn: q.id})
-		co.msgsSent.Add(1) // counted per attempted send (see Counters)
+		co.msgsSent.Add(1) // counted per attempted send (see msgsSent)
 		if err != nil {
 			co.MarkDown(slot.site)
 			conn.Close()

@@ -21,7 +21,24 @@ import (
 	"harbor/internal/storage"
 	"harbor/internal/tuple"
 	"harbor/internal/wire"
+	"harbor/internal/worker"
 )
+
+// OpenSite opens a worker site with its online torn-page repair armed: a
+// read that trips a CRC failure starts a background RepairTable from a
+// buddy instead of leaving the page quarantined until the next recovery.
+func OpenSite(cfg worker.Config) (*worker.Site, error) {
+	w, err := worker.Open(cfg)
+	if err != nil {
+		return nil, err
+	}
+	rec := New(w, cfg.Catalog)
+	w.SetRepairHook(func(table int32) error {
+		_, err := rec.RepairTable(table)
+		return err
+	})
+	return w, nil
+}
 
 // ErrRepairDeferred reports that an online repair was declined because a
 // quarantined page's segment may still hold uncommitted tuples: reformatting

@@ -136,9 +136,9 @@ func RunCommitBenchD(baseDir string, cfg ProtoConfig, concurrency, txnsPerStream
 
 	// Drop warm-up traffic from every counter and histogram so the reported
 	// distribution covers the measured window only.
-	cl.Coord.ResetCounters()
+	cl.Coord.Obs().Reset()
 	for _, w := range cl.Workers {
-		w.ResetCounters()
+		w.Obs().Reset()
 	}
 
 	var wg sync.WaitGroup

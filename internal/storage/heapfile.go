@@ -53,12 +53,9 @@ type HeapFile struct {
 	// buddy and calls ClearQuarantine.
 	quarantined map[int32]bool
 
-	// Stats counters (atomic not needed; guarded by mu).
-	pageReads, pageWrites, syncs int64
-
-	// Site-wide registry counters mirrored alongside the per-file stats
-	// (storage.page.reads, storage.page.writes, storage.fsyncs,
-	// storage.corrupt_pages); bound by the owning Manager's Instrument.
+	// Site-wide registry counters (storage.page.reads, storage.page.writes,
+	// storage.fsyncs, storage.corrupt_pages); bound by the owning Manager's
+	// Instrument, so the pointers are read under mu.
 	ioReads, ioWrites, ioSyncs, ioCorrupt *obs.Counter
 }
 
@@ -224,7 +221,6 @@ func (h *HeapFile) ReadPageData(pageNo int32) ([]byte, error) {
 		h.mu.Unlock()
 		return nil, fmt.Errorf("storage: table %d page %d out of range [0,%d)", h.meta.TableID, pageNo, next)
 	}
-	h.pageReads++
 	h.ioReads.Inc()
 	h.mu.Unlock()
 
@@ -283,7 +279,6 @@ func (h *HeapFile) WritePageData(pageNo int32, data []byte) error {
 		return fmt.Errorf("storage: page image is %d bytes", len(data))
 	}
 	h.mu.Lock()
-	h.pageWrites++
 	h.ioWrites.Inc()
 	h.mu.Unlock()
 	const crcOff = page.Size - page.TrailerSize
@@ -300,18 +295,16 @@ func (h *HeapFile) WritePageData(pageNo int32, data []byte) error {
 // SyncData forces previously written pages to stable storage.
 func (h *HeapFile) SyncData() error {
 	h.mu.Lock()
-	h.syncs++
 	h.ioSyncs.Inc()
 	h.mu.Unlock()
 	return h.file.Sync()
 }
 
-// instrument binds the shared storage.* counters (the per-file Stats
-// counters are unaffected). Counts accumulated before the rebind — Open and
-// Create start on a private registry, and the open-time index rebuild can
-// already discover corrupt pages — are carried into the new registry so a
-// quarantine found before the Site wires observability still shows up in
-// storage.corrupt_pages.
+// instrument binds the shared storage.* counters. Counts accumulated before
+// the rebind — Open and Create start on a private registry, and the
+// open-time index rebuild can already discover corrupt pages — are carried
+// into the new registry so a quarantine found before the Site wires
+// observability still shows up in storage.corrupt_pages.
 func (h *HeapFile) instrument(reg *obs.Registry) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -326,13 +319,6 @@ func (h *HeapFile) instrument(reg *obs.Registry) {
 	h.ioWrites = carry(h.ioWrites, "storage.page.writes")
 	h.ioSyncs = carry(h.ioSyncs, "storage.fsyncs")
 	h.ioCorrupt = carry(h.ioCorrupt, "storage.corrupt_pages")
-}
-
-// Stats returns IO counters (reads, writes, syncs).
-func (h *HeapFile) Stats() (reads, writes, syncs int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.pageReads, h.pageWrites, h.syncs
 }
 
 // FlushMeta durably writes the meta file if it changed (atomic replace).
@@ -740,13 +726,11 @@ func (h *HeapFile) DropOldestSegment() error {
 		if _, err := h.file.WriteAt(make([]byte, int(e.Count)*page.Size), int64(e.Start)*page.Size); err != nil {
 			return err
 		}
-		h.pageWrites += int64(e.Count)
 		h.ioWrites.Add(int64(e.Count))
 		for p := e.Start; p < e.Start+e.Count; p++ {
 			delete(h.quarantined, p)
 		}
 	}
-	h.syncs++
 	h.ioSyncs.Inc()
 	if err := h.file.Sync(); err != nil {
 		return err

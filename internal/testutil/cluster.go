@@ -65,23 +65,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// the catalog wants them registered).
 	for i := 0; i < cfg.Workers; i++ {
 		site := WorkerSiteID(i)
-		w, err := worker.Open(worker.Config{
-			Site:            site,
-			Dir:             filepath.Join(cfg.BaseDir, fmt.Sprintf("site%d", site)),
-			Protocol:        cfg.Protocol,
-			Mode:            cfg.Mode,
-			PoolFrames:      cfg.PoolFrames,
-			LockTimeout:     cfg.LockTimeout,
-			CheckpointEvery: cfg.CheckpointEvery,
-			GroupCommit:     cfg.GroupCommit,
-			SyncDelay:       cfg.SyncDelay,
-			Catalog:         cat,
-		})
+		w, err := cl.openWorker(site, filepath.Join(cfg.BaseDir, fmt.Sprintf("site%d", site)))
 		if err != nil {
 			cl.Close()
 			return nil, err
 		}
-		installRepairHook(w, cat)
 		cl.Workers = append(cl.Workers, w)
 		cat.AddSite(site, w.Addr())
 	}
@@ -171,22 +159,10 @@ func (cl *Cluster) CreateRangePartitionedTable(id int32, desc *tuple.Desc, segPa
 func (cl *Cluster) AddWorker() (*worker.Site, error) {
 	i := len(cl.Workers)
 	site := WorkerSiteID(i)
-	w, err := worker.Open(worker.Config{
-		Site:            site,
-		Dir:             filepath.Join(cl.Cfg.BaseDir, fmt.Sprintf("site%d", site)),
-		Protocol:        cl.Cfg.Protocol,
-		Mode:            cl.Cfg.Mode,
-		PoolFrames:      cl.Cfg.PoolFrames,
-		LockTimeout:     cl.Cfg.LockTimeout,
-		CheckpointEvery: cl.Cfg.CheckpointEvery,
-		GroupCommit:     cl.Cfg.GroupCommit,
-		SyncDelay:       cl.Cfg.SyncDelay,
-		Catalog:         cl.Catalog,
-	})
+	w, err := cl.openWorker(site, filepath.Join(cl.Cfg.BaseDir, fmt.Sprintf("site%d", site)))
 	if err != nil {
 		return nil, err
 	}
-	installRepairHook(w, cl.Catalog)
 	cl.Workers = append(cl.Workers, w)
 	cl.Catalog.AddSite(site, w.Addr())
 	return w, nil
@@ -201,9 +177,21 @@ func (cl *Cluster) RestartWorker(i int) (*worker.Site, error) {
 		old.Crash()
 	}
 	site := WorkerSiteID(i)
-	w, err := worker.Open(worker.Config{
+	w, err := cl.openWorker(site, old.Cfg.Dir)
+	if err != nil {
+		return nil, err
+	}
+	cl.Workers[i] = w
+	cl.Catalog.AddSite(site, w.Addr())
+	return w, nil
+}
+
+// openWorker opens one worker site over dir with the cluster's settings and
+// its online torn-page repair armed.
+func (cl *Cluster) openWorker(site catalog.SiteID, dir string) (*worker.Site, error) {
+	return core.OpenSite(worker.Config{
 		Site:            site,
-		Dir:             old.Cfg.Dir,
+		Dir:             dir,
 		Protocol:        cl.Cfg.Protocol,
 		Mode:            cl.Cfg.Mode,
 		PoolFrames:      cl.Cfg.PoolFrames,
@@ -212,23 +200,6 @@ func (cl *Cluster) RestartWorker(i int) (*worker.Site, error) {
 		GroupCommit:     cl.Cfg.GroupCommit,
 		SyncDelay:       cl.Cfg.SyncDelay,
 		Catalog:         cl.Catalog,
-	})
-	if err != nil {
-		return nil, err
-	}
-	installRepairHook(w, cl.Catalog)
-	cl.Workers[i] = w
-	cl.Catalog.AddSite(site, w.Addr())
-	return w, nil
-}
-
-// installRepairHook arms the worker's online torn-page repair with the
-// recovery engine's repair-from-buddy path, mirroring cmd/harbor-worker.
-func installRepairHook(w *worker.Site, cat *catalog.Catalog) {
-	rec := core.New(w, cat)
-	w.SetRepairHook(func(table int32) error {
-		_, err := rec.RepairTable(table)
-		return err
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"harbor/internal/buffer"
 	"harbor/internal/lockmgr"
+	"harbor/internal/obs"
 	"harbor/internal/page"
 	"harbor/internal/storage"
 	"harbor/internal/tuple"
@@ -295,6 +296,9 @@ func TestAbortUndoesViaLogARIESMode(t *testing.T) {
 
 func TestPrepareForcesLog(t *testing.T) {
 	st, tb := newSite(t, true)
+	reg := obs.NewRegistry()
+	st.Log.Instrument(reg)
+	forces := reg.Counter("wal.force_calls")
 	_, _ = tb, 0
 	if _, err := st.InsertTuple(1, 1, mk(tb.Heap.Desc(), 1, 0)); err != nil {
 		t.Fatal(err)
@@ -302,14 +306,14 @@ func TestPrepareForcesLog(t *testing.T) {
 	if err := st.Prepare(1, true); err != nil {
 		t.Fatal(err)
 	}
-	force, fsyncs, _ := st.Log.Counters()
+	force, fsyncs := forces.Load(), reg.Counter("wal.fsyncs").Load()
 	if force != 1 || fsyncs < 1 {
 		t.Fatalf("prepare force accounting: force=%d fsyncs=%d", force, fsyncs)
 	}
 	if err := st.PrepareToCommit(1, 5, true); err != nil {
 		t.Fatal(err)
 	}
-	force, _, _ = st.Log.Counters()
+	force = forces.Load()
 	if force != 2 {
 		t.Fatalf("prepare-to-commit not counted: %d", force)
 	}

@@ -420,18 +420,6 @@ func (m *Manager) FlushAll() error {
 	return m.Force(target, false)
 }
 
-// Counters returns (protocol forced-write calls, physical fsyncs, appends).
-func (m *Manager) Counters() (forceCalls, fsyncs, appends int64) {
-	return m.forceCalls.Load(), m.fsyncs.Load(), m.appends.Load()
-}
-
-// ResetCounters zeroes the accounting counters (benchmark harness use).
-func (m *Manager) ResetCounters() {
-	m.forceCalls.Store(0)
-	m.fsyncs.Store(0)
-	m.appends.Store(0)
-}
-
 // WriteMaster durably records the LSN of the latest checkpoint record via
 // the shared atomic-replace helper. The old implementation synced a
 // read-only handle of the temp file (a no-op for durability on some

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"harbor/internal/obs"
 	"harbor/internal/page"
 )
 
@@ -21,6 +22,14 @@ func openTest(t *testing.T) (*Manager, string) {
 	}
 	t.Cleanup(func() { m.Close() })
 	return m, dir
+}
+
+// instrument binds m to a fresh registry, so a test reads the wal.* counters
+// the way a site's metrics snapshot does.
+func instrument(m *Manager) *obs.Registry {
+	reg := obs.NewRegistry()
+	m.Instrument(reg)
+	return reg
 }
 
 func TestAppendForceIter(t *testing.T) {
@@ -165,6 +174,7 @@ func TestReopenDiscardsTornTail(t *testing.T) {
 
 func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	m, _ := openTest(t)
+	reg := instrument(m)
 	const n = 32
 	var wg sync.WaitGroup
 	lsns := make([]page.LSN, n)
@@ -181,7 +191,7 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	forceCalls, fsyncs, appends := m.Counters()
+	forceCalls, fsyncs, appends := reg.Counter("wal.force_calls").Load(), reg.Counter("wal.fsyncs").Load(), reg.Counter("wal.appends").Load()
 	if forceCalls != n {
 		t.Fatalf("forceCalls = %d, want %d", forceCalls, n)
 	}
@@ -198,22 +208,17 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 
 func TestForceAlreadyFlushedIsFree(t *testing.T) {
 	m, _ := openTest(t)
+	fsyncs := instrument(m).Counter("wal.fsyncs")
 	lsn := m.Append(&Record{Type: RecCommit, Txn: 1})
 	if err := m.Force(lsn, true); err != nil {
 		t.Fatal(err)
 	}
-	_, fs1, _ := m.Counters()
+	fs1 := fsyncs.Load()
 	if err := m.Force(lsn, true); err != nil {
 		t.Fatal(err)
 	}
-	_, fs2, _ := m.Counters()
-	if fs2 != fs1 {
+	if fs2 := fsyncs.Load(); fs2 != fs1 {
 		t.Fatalf("re-force caused fsync: %d → %d", fs1, fs2)
-	}
-	m.ResetCounters()
-	fc, fs, ap := m.Counters()
-	if fc != 0 || fs != 0 || ap != 0 {
-		t.Fatal("ResetCounters did not reset")
 	}
 }
 
@@ -326,6 +331,7 @@ func BenchmarkAppendForce(b *testing.B) {
 // fsync.
 func TestNoGroupTakeoverWritesBeforeSync(t *testing.T) {
 	m, _ := openTest(t)
+	reg := instrument(m)
 	m.SetNoGroup(true)
 	m.SetSyncDelay(50 * time.Millisecond)
 
@@ -369,7 +375,7 @@ func TestNoGroupTakeoverWritesBeforeSync(t *testing.T) {
 
 	// Two Force calls → exactly two serialized fsyncs. The buggy branch
 	// needed a third (an empty sync, then a second iteration to flush r2).
-	if _, fsyncs, _ := m.Counters(); fsyncs != 2 {
+	if fsyncs := reg.Counter("wal.fsyncs").Load(); fsyncs != 2 {
 		t.Fatalf("fsyncs = %d, want 2 (no-group commit: one fsync per Force)", fsyncs)
 	}
 

@@ -405,24 +405,6 @@ func (s *Site) Obs() *obs.Registry { return s.reg }
 // Trace returns the site's per-transaction tracer.
 func (s *Site) Trace() *obs.Tracer { return s.trace }
 
-// Counters returns (commits, aborts) processed.
-func (s *Site) Counters() (int64, int64) { return s.commits.Load(), s.aborts.Load() }
-
-// ForcedWrites returns the protocol-level forced-write count (0 if logless).
-func (s *Site) ForcedWrites() int64 {
-	if s.Log == nil {
-		return 0
-	}
-	fc, _, _ := s.Log.Counters()
-	return fc
-}
-
-// ResetCounters zeroes benchmark counters. The WAL, buffer pool, lock
-// manager, and storage layer share the registry, so their counters reset too.
-func (s *Site) ResetCounters() {
-	s.reg.Reset()
-}
-
 // --- checkpointing -------------------------------------------------------
 
 func (s *Site) checkpointLoop() {

@@ -390,9 +390,9 @@ func TestCostParity(t *testing.T) {
 	for _, protocol := range txn.Protocols() {
 		t.Run(protocol.String(), func(t *testing.T) {
 			cl := newCluster(t, protocol, modeFor(protocol), 2)
-			cl.Coord.ResetCounters()
+			cl.Coord.Obs().Reset()
 			for _, w := range cl.Workers {
-				w.ResetCounters()
+				w.Obs().Reset()
 			}
 			tx := cl.Coord.Begin()
 			if err := tx.Insert(1, mk(1, 0)); err != nil {
